@@ -14,6 +14,7 @@ Block output: MLP applied to Y_E + 0.6 * Y_S + 0.4 * Y_C (fixed weights).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +81,19 @@ def window_merge(x: Tensor, w: int, h: int, wd: int) -> Tensor:
     return T.reshape(x, (nb, h, wd, c))
 
 
+@functools.lru_cache(maxsize=None)
 def relative_position_index(w: int) -> np.ndarray:
-    """(w^2, w^2) indices into a (2w-1)^2 relative-offset bias table."""
+    """(w^2, w^2) indices into a (2w-1)^2 relative-offset bias table.
+
+    A constant of the window size, so it is built once per size and shared
+    read-only.
+    """
     coords = np.stack(np.meshgrid(np.arange(w), np.arange(w), indexing="ij"), axis=-1)
     coords = coords.reshape(-1, 2)
     rel = coords[:, None, :] - coords[None, :, :] + (w - 1)
-    return rel[..., 0] * (2 * w - 1) + rel[..., 1]
+    idx = rel[..., 0] * (2 * w - 1) + rel[..., 1]
+    idx.flags.writeable = False
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -307,15 +306,34 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    Evaluated in place on two buffers, from products only: numpy's generic
+    ``pow`` (``x ** 3``) is far slower on float32.
+    """
     x = a.data
-    u = _GELU_S * (x + _GELU_C * x ** 3)
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x                                     # u = s*x*(1 + c*x^2), then tanh(u)
+    t *= _GELU_S * _GELU_C
+    t += _GELU_S
+    t *= x
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def vjp(g):
-        du = _GELU_S * (1.0 + 3.0 * _GELU_C * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+        # d/dx = 0.5*(1 + t) + 0.5*x*(1 - t^2)*s*(1 + 3c*x^2)
+        d = x * x
+        d *= 1.5 * _GELU_C * _GELU_S
+        d += 0.5 * _GELU_S
+        d *= x
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        d *= sech2
+        d += 0.5 * t
+        d += 0.5
+        d *= g
+        return (d,)
 
     return _node(out, (a,), vjp)
 
@@ -352,12 +370,25 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
+def _is_basic_index(key) -> bool:
+    """True for keys made only of slices, ints, ``Ellipsis`` and ``None``:
+    such a key selects every element at most once, so its VJP can assign."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def getitem(a: Tensor, key) -> Tensor:
     out = a.data[key]
+    basic = _is_basic_index(key)
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, key, g)
+        if basic:
+            ga[key] = g
+        else:  # integer-array keys may repeat an element
+            np.add.at(ga, key, g)
         return (ga,)
 
     return _node(out, (a,), vjp)
@@ -464,12 +495,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
     """Normalize to zero mean / unit variance along ``axis``, then affine.
 
     gamma/beta must broadcast against x with the normalized extent on ``axis``.
+    One tape node; the VJP is the closed form
+    ``gx = rstd * (gh - mean(gh) - xn * mean(gh * xn))`` with ``gh = g * gamma``.
     """
-    mu = tmean(x, axis=axis, keepdims=True)
-    xc = x - mu
-    var = tmean(mul(xc, xc), axis=axis, keepdims=True)
-    xn = div(xc, tsqrt(add(var, eps)))
-    return add(mul(xn, gamma), beta)
+    gamma = _ensure(gamma, like=x)
+    beta = _ensure(beta, like=x)
+    xn = x.data - x.data.mean(axis=axis, keepdims=True)
+    rstd = 1.0 / np.sqrt((xn * xn).mean(axis=axis, keepdims=True) + eps)
+    xn *= rstd
+    out = xn * gamma.data
+    out += beta.data
+
+    def vjp(g):
+        gx = g * gamma.data                       # gh, turned into gx in place
+        tmp = gx * xn
+        np.multiply(xn, tmp.mean(axis=axis, keepdims=True), out=tmp)
+        gx -= gx.mean(axis=axis, keepdims=True)
+        gx -= tmp
+        gx *= rstd
+        gamma_rows = np.multiply(g, xn, out=tmp)
+        return gx, _unbroadcast(gamma_rows, gamma.shape), _unbroadcast(g, beta.shape)
+
+    return _node(out, (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -479,34 +526,44 @@ def _conv_out_extent(h: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (h + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int):
-    """Return windows of shape B,C,Ho,Wo,kh,kw (a strided view where possible)."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ekh = dil * (kh - 1) + 1
-    ekw = dil * (kw - 1) + 1
-    win = sliding_window_view(x, (ekh, ekw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride, ::dil, ::dil]
-
-
-def _col2im(gcols: np.ndarray, xshape: tuple, kh: int, kw: int,
-            stride: int, pad: int, dil: int) -> np.ndarray:
-    """Scatter-add window gradients (B,C,Ho,Wo,kh,kw) back onto the input."""
-    b, c, h, w = xshape
-    ho, wo = gcols.shape[2], gcols.shape[3]
-    gx = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
+            ho: int, wo: int) -> np.ndarray:
+    """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input, one slice
+    copy per kernel tap."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i * dil: i * dil + stride * ho: stride,
-               j * dil: j * dil + stride * wo: stride] += gcols[..., i, j]
-    if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
-    return gx
+            cols[:, :, :, i, j] = xp[:, i * dil: i * dil + stride * ho: stride,
+                                     j * dil: j * dil + stride * wo: stride]
+    return cols
+
+
+def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,
+            dil: int) -> np.ndarray:
+    """Scatter-add channel-last window gradients (B,Ho,Wo,kh,kw,C) back onto
+    a B,C,H,W input: the adjoint of :func:`_im2col`."""
+    b, c, h, w = xshape
+    _, ho, wo, kh, kw, _ = gcols.shape
+    gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i * dil: i * dil + stride * ho: stride,
+               j * dil: j * dil + stride * wo: stride] += gcols[:, :, :, i, j]
+    return np.ascontiguousarray(gx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
            padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
-    """2D cross-correlation. x: B,Cin,H,W; w: Cout,Cin/groups,Kh,Kw."""
+    """2D cross-correlation. x: B,Cin,H,W; w: Cout,Cin/groups,Kh,Kw.
+
+    Stride-1 depthwise convs run as kh*kw shifted multiply-adds; every other
+    conv is one (grouped) GEMM over channel-last im2col windows.  Both VJPs
+    are closures of this function, so a profiler that names a VJP by its
+    ``__qualname__`` charges both to ``conv2d``.
+    """
     bsz, cin, h, wdt = x.shape
     cout, cin_g, kh, kw = w.shape
     if cin % groups or cout % groups:
@@ -517,35 +574,66 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     wo = _conv_out_extent(wdt, kw, stride, padding, dilation)
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
-
-    cg, og = cin // groups, cout // groups
-    cols = _im2col(x.data, kh, kw, stride, padding, dilation)
-    # contiguous (groups, B*Ho*Wo, Cg*kh*kw) so the products hit BLAS
-    cols_m = np.ascontiguousarray(
-        cols.reshape(bsz, groups, cg, ho, wo, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
-    ).reshape(groups, bsz * ho * wo, cg * kh * kw)
-    w_m = w.data.reshape(groups, og, cg * kh * kw)
-    out = np.matmul(cols_m, w_m.swapaxes(1, 2))          # g, BHW, og
-    out = out.reshape(groups, bsz, ho, wo, og).transpose(1, 0, 4, 2, 3)
-    out = np.ascontiguousarray(out.reshape(bsz, cout, ho, wo))
-    if b is not None:
-        out = out + b.data.reshape(1, cout, 1, 1)
-
     parents = (x, w) if b is None else (x, w, b)
 
+    if groups == cin == cout and stride == 1:
+        # Rows of the padded input are laid end to end, so each tap is one
+        # contiguous shifted slice; output columns past ``wo`` are wrapped
+        # garbage and are cropped.  One spare row keeps the last tap in bounds.
+        hp, wp = h + 2 * padding, wdt + 2 * padding
+        n = ho * wp
+        xp = np.zeros((bsz, cin, hp + 1, wp), dtype=x.data.dtype)
+        xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
+        xp = xp.reshape(bsz, cin, -1)
+        wk = w.data.reshape(cout, kh * kw, 1)
+        taps = [i * dilation * wp + j * dilation for i in range(kh) for j in range(kw)]
+        acc = np.zeros((bsz, cout, n), dtype=xp.dtype)
+        for t, off in enumerate(taps):
+            acc += xp[:, :, off:off + n] * wk[:, t]
+        out = acc.reshape(bsz, cout, ho, wp)[..., :wo]
+        if b is not None:
+            out = out + b.data.reshape(1, cout, 1, 1)
+
+        def vjp_depthwise(g):
+            gp = np.zeros((bsz, cout, ho, wp), dtype=g.dtype)
+            gp[..., :wo] = g
+            gp = gp.reshape(bsz, cout, n)
+            gxp = np.zeros_like(xp)
+            gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
+            for t, off in enumerate(taps):
+                gxp[:, :, off:off + n] += gp * wk[:, t]
+                gw[:, t] = np.einsum("bcn,bcn->c", gp, xp[:, :, off:off + n])
+            gx = gxp.reshape(bsz, cin, hp + 1, wp)[:, :, padding:padding + h, padding:padding + wdt]
+            if b is None:
+                return gx, gw.reshape(w.shape)
+            return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+
+        return _node(out, parents, vjp_depthwise)
+
+    cg, og = cin // groups, cout // groups
+    rows = bsz * ho * wo
+    cols = _im2col(x.data, kh, kw, stride, padding, dilation, ho, wo)
+    # (groups, B*Ho*Wo, kh*kw*Cg); a free view when groups == 1
+    cols_m = cols.reshape(rows, kh * kw, groups, cg).transpose(2, 0, 1, 3) \
+        .reshape(groups, rows, kh * kw * cg)
+    w_m = w.data.reshape(groups, og, cg, kh, kw).transpose(0, 1, 3, 4, 2) \
+        .reshape(groups, og, kh * kw * cg)
+    out_m = np.matmul(cols_m, w_m.swapaxes(1, 2)).transpose(1, 0, 2).reshape(rows, cout)
+    if b is not None:
+        out_m = out_m + b.data
+    out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
+
     def vjp(g):
-        g_m = np.ascontiguousarray(
-            g.reshape(bsz, groups, og, ho, wo).transpose(1, 0, 3, 4, 2)
-        ).reshape(groups, bsz * ho * wo, og)
-        gw = np.matmul(g_m.swapaxes(1, 2), cols_m).reshape(w.shape)
-        gcols_m = np.matmul(g_m, w_m)                    # g, BHW, Cg*kh*kw
-        gcols = gcols_m.reshape(groups, bsz, ho, wo, cg, kh, kw)
-        gcols = np.ascontiguousarray(gcols.transpose(1, 0, 4, 2, 3, 5, 6))
-        gcols = gcols.reshape(bsz, cin, ho, wo, kh, kw)
-        gx = _col2im(gcols, x.shape, kh, kw, stride, padding, dilation)
+        g_rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(rows, cout)
+        g_m = g_rows.reshape(rows, groups, og).transpose(1, 0, 2)   # g, BHW, og
+        gw = np.matmul(g_m.swapaxes(1, 2), cols_m)                 # g, og, kh*kw*Cg
+        gw = gw.reshape(groups, og, kh, kw, cg).transpose(0, 1, 4, 2, 3).reshape(w.shape)
+        gcols = np.matmul(g_m, w_m).reshape(groups, rows, kh * kw, cg).transpose(1, 2, 0, 3)
+        gcols = gcols.reshape(bsz, ho, wo, kh, kw, cin)
+        gx = _col2im(gcols, x.shape, stride, padding, dilation)
         if b is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, g_rows.sum(axis=0)
 
     return _node(out, parents, vjp)
 
@@ -563,21 +651,18 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         raise ConfigError(f"conv_transpose2d output extent {ho}x{wo} is empty")
 
     x_m = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(bsz * h * wdt, cin)
-    w_m = w.data.reshape(cin, cout * kh * kw)
-    gcols = (x_m @ w_m).reshape(bsz, h, wdt, cout, kh, kw)
-    gcols = np.ascontiguousarray(gcols.transpose(0, 3, 1, 2, 4, 5))
-    out = _col2im(gcols, (bsz, cout, ho, wo), kh, kw, stride, padding, dil=1)
+    w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
+    gcols = (x_m @ w_m).reshape(bsz, h, wdt, kh, kw, cout)
+    out = _col2im(gcols, (bsz, cout, ho, wo), stride, padding, dil=1)
     if b is not None:
         out = out + b.data.reshape(1, cout, 1, 1)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        win = _im2col(g, kh, kw, stride, padding, dil=1)  # B,Cout,H,W,kh,kw
-        win_m = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-        win_m = win_m.reshape(bsz * h * wdt, cout * kh * kw)
+        win_m = _im2col(g, kh, kw, stride, padding, 1, h, wdt).reshape(bsz * h * wdt, -1)
         gx = (win_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
-        gw = (x_m.T @ win_m).reshape(w.shape)
+        gw = (x_m.T @ win_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
         if b is None:
             return np.ascontiguousarray(gx), gw
         return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
@@ -604,35 +689,32 @@ def _resize_axis_weights(n_in: int, n_out: int, dtype):
     return i0c, i1c, frac.astype(dtype)
 
 
+def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
+    """(n_out, n_in) bilinear interpolation matrix of one axis."""
+    i0, i1, frac = _resize_axis_weights(n_in, n_out, dtype)
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    rows = np.arange(n_out)
+    m[rows, i0] = 1 - frac
+    m[rows, i1] += frac  # i0 == i1 at a clamped border: the weights sum to 1
+    return m
+
+
 def bilinear_resize_array(x: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    """Bilinear resize (align_corners=False) of the last two axes."""
-    h, w = x.shape[-2], x.shape[-1]
-    i0, i1, fh = _resize_axis_weights(h, h2, x.dtype)
-    j0, j1, fw = _resize_axis_weights(w, w2, x.dtype)
-    top = x[..., i0, :] * (1 - fh)[:, None] + x[..., i1, :] * fh[:, None]
-    return top[..., j0] * (1 - fw) + top[..., j1] * fw
+    """Bilinear resize (align_corners=False) of the last two axes: Rh @ x @ Rw.T."""
+    rh = _resize_matrix(x.shape[-2], h2, x.dtype)
+    rw = _resize_matrix(x.shape[-1], w2, x.dtype)
+    return rh @ x @ rw.T
 
 
 def bilinear_resize(x: Tensor, h2: int, w2: int) -> Tensor:
     """Differentiable bilinear resize of B,C,H,W to B,C,h2,w2."""
     if h2 < 1 or w2 < 1:
         raise ConfigError(f"bilinear_resize target {h2}x{w2} is invalid")
-    h, w = x.shape[-2], x.shape[-1]
-    out = bilinear_resize_array(x.data, h2, w2)
-
-    i0, i1, fh = _resize_axis_weights(h, h2, x.data.dtype)
-    j0, j1, fw = _resize_axis_weights(w, w2, x.data.dtype)
+    rh = _resize_matrix(x.shape[-2], h2, x.data.dtype)
+    rw = _resize_matrix(x.shape[-1], w2, x.data.dtype)
+    out = rh @ x.data @ rw.T
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        lead = x.shape[:-2]
-        gxf = gx.reshape(-1, h, w)
-        gf = g.reshape(-1, h2, w2)
-        bidx = np.arange(gxf.shape[0])[:, None, None]
-        for ii, wi in ((i0, 1 - fh), (i1, fh)):
-            for jj, wj in ((j0, 1 - fw), (j1, fw)):
-                np.add.at(gxf, (bidx, ii[None, :, None], jj[None, None, :]),
-                          gf * wi[:, None] * wj)
-        return (gxf.reshape(lead + (h, w)),)
+        return (rh.T @ g @ rw,)
 
     return _node(out, (x,), vjp)

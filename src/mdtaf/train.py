@@ -9,13 +9,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .attention import ALPHA_MIN
 from .model import ModelConfig, model_forward, save_checkpoint
 from .params import ParamStore
 from .tensor import ShapeError, Tensor, no_grad
 from .tensor import _node  # loss primitive shares the tape machinery
 
 DICE_EPS = 1e-6
-ALPHA_MIN = 1e-4
 
 
 class TrainingDiverged(RuntimeError):

@@ -52,14 +52,17 @@ def test_pad_to_multiple_is_identity_on_aligned_input():
 
 
 def test_batch_independence(desk):
-    # sample 0 in a batch of two must equal the same sample run alone
+    # each sample of a batch of four must match the same sample run alone; the
+    # conv GEMMs fold batch and space into one set of rows, so only BLAS
+    # blocking may tell them apart
     cfg, params = desk
     rng = np.random.default_rng(4)
-    pair = rng.normal(size=(2, 1, 64, 64)).astype(np.float32)
+    batch = rng.normal(size=(4, 1, 64, 64)).astype(np.float32)
     with no_grad():
-        both = model_forward(Tensor(pair), cfg, params).data
-        solo = model_forward(Tensor(pair[:1]), cfg, params).data
-    assert np.abs(both[:1] - solo).max() < 1e-5
+        together = model_forward(Tensor(batch), cfg, params).data
+        for i in range(4):
+            solo = model_forward(Tensor(batch[i:i + 1]), cfg, params).data
+            assert np.abs(together[i:i + 1] - solo).max() < 1e-6
 
 
 def test_config_roundtrips_through_dict():

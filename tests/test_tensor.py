@@ -77,6 +77,18 @@ def test_grad_reshape_transpose():
         [x]) < TOL
 
 
+@pytest.mark.parametrize("key", [
+    (slice(None), slice(None), slice(0, 3), slice(1, 4)),     # crop
+    (slice(None), slice(1, 3)),                               # channel slice
+    (slice(None, None, 2), Ellipsis, slice(1, None, 2)),      # stepped slice
+    (1, None, slice(None), -1),                               # ints and a new axis
+])
+def test_grad_getitem_basic_indices(key):
+    x = _t(3, 4, 5, 5)
+    probe = Tensor(RNG.normal(size=x.data[key].shape))
+    assert grad_check(lambda x: T.tsum(T.getitem(x, key) * probe), [x]) < TOL
+
+
 def test_grad_getitem_repeated_indices():
     # repeated rows force the scatter-add in the backward pass
     x = _t(4, 3)
@@ -120,6 +132,50 @@ def test_grad_linear_layer_norm():
         [x, g, be]) < TOL
 
 
+def _layer_norm_composite(x, gamma, beta, axis, eps=1e-6):
+    # the formula spelled out in tape ops, one node per step
+    xc = x - T.tmean(x, axis=axis, keepdims=True)
+    var = T.tmean(xc * xc, axis=axis, keepdims=True)
+    return T.add(T.mul(T.div(xc, T.tsqrt(T.add(var, eps))), gamma), beta)
+
+
+@pytest.mark.parametrize("axis,xshape,pshape", [
+    (1, (2, 6, 3, 4), (1, 6, 1, 1)),
+    (-1, (2, 5, 6), (6,)),
+])
+def test_layer_norm_matches_composite_f32(axis, xshape, pshape):
+    rng = np.random.default_rng(5)
+    x, gamma, beta, probe = (
+        Tensor(rng.normal(1.0, 2.0, size=xshape).astype(np.float32), requires_grad=True),
+        Tensor(rng.uniform(0.5, 1.5, size=pshape).astype(np.float32), requires_grad=True),
+        Tensor(rng.normal(size=pshape).astype(np.float32), requires_grad=True),
+        Tensor(rng.normal(size=xshape).astype(np.float32)))
+    got, want = [], []
+    for op, res in ((T.layer_norm, got), (_layer_norm_composite, want)):
+        for t in (x, gamma, beta):
+            t.zero_grad()
+        y = op(x, gamma, beta, axis=axis)
+        T.tsum(y * probe).backward()
+        res.extend([y.data.copy()] + [t.grad.copy() for t in (x, gamma, beta)])
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32
+        assert np.abs(a - b).max() / max(1.0, np.abs(b).max()) < TOL
+
+
+def test_grad_layer_norm_channel_axis():
+    x, g, be = _t(2, 4, 3, 3), Tensor(RNG.uniform(0.5, 1.5, size=(1, 4, 1, 1))), _t(1, 4, 1, 1)
+    probe = Tensor(RNG.normal(size=(2, 4, 3, 3)))
+    assert grad_check(
+        lambda x, g, be: T.tsum(T.layer_norm(x, g, be, axis=1) * probe),
+        [x, g, be]) < TOL
+
+
+def test_layer_norm_is_one_tape_node():
+    x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    y = T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    assert y._parents[0] is x
+
+
 # ---------------------------------------------------------------------------
 # convolution: loop oracle plus gradients
 
@@ -150,24 +206,29 @@ def _conv_oracle(x, w, b, stride, pad, dil, groups):
 
 @pytest.mark.parametrize("stride,pad,dil,groups", [
     (1, 0, 1, 1), (2, 1, 1, 1), (1, 2, 2, 1), (1, 1, 1, 4), (2, 1, 1, 2),
+    (2, 2, 2, 1), (1, 1, 1, 2),
+    # depthwise (groups == channels): stride 1 takes the shifted multiply-add path
+    (1, 0, 1, 4), (1, 2, 2, 4), (1, 3, 3, 4), (2, 1, 1, 4),
 ])
 def test_conv2d_matches_loop_oracle(stride, pad, dil, groups):
     rng = np.random.default_rng(7)
     cin, cout = 4, 4
     x = rng.normal(size=(2, cin, 6, 5))
     w = rng.normal(size=(cout, cin // groups, 3, 3))
-    b = rng.normal(size=(cout,))
-    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
-                   padding=pad, dilation=dil, groups=groups).data
-    want = _conv_oracle(x, w, b, stride, pad, dil, groups)
-    assert np.abs(got - want).max() < 1e-10
+    for b in (rng.normal(size=(cout,)), None):
+        got = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride,
+                       padding=pad, dilation=dil, groups=groups).data
+        want = _conv_oracle(x, w, b, stride, pad, dil, groups)
+        assert np.abs(got - want).max() < 1e-10
 
 
 @pytest.mark.parametrize("stride,pad,dil,groups", [
     (1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1), (1, 0, 1, 2),
+    (1, 1, 1, 4), (1, 2, 2, 4), (1, 3, 3, 4),
 ])
 def test_grad_conv2d(stride, pad, dil, groups):
-    x, w, b = _t(1, 2, 5, 5), _t(4, 2 // groups, 3, 3), _t(4)
+    cin = 4 if groups == 4 else 2  # groups == cin == cout: depthwise
+    x, w, b = _t(1, cin, 5, 5), _t(4, cin // groups, 3, 3), _t(4)
     assert grad_check(
         lambda x, w, b: T.tsum(T.tanh(T.conv2d(
             x, w, b, stride=stride, padding=pad, dilation=dil, groups=groups))),
@@ -207,6 +268,36 @@ def test_grad_global_avg_pool_and_bilinear():
     probe2 = Tensor(RNG.normal(size=(1, 2, 7, 5)))
     assert grad_check(lambda x: T.tsum(T.bilinear_resize(x, 7, 5) * probe2),
                       [x]) < TOL
+
+
+def _resize_oracle(x, h2, w2):
+    # per output pixel: align_corners=False source point, clamped 2x2 gather, lerp
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (h2, w2))
+    for oi in range(h2):
+        sy = (oi + 0.5) * h / h2 - 0.5
+        y0 = int(np.floor(sy))
+        fy = sy - y0
+        for oj in range(w2):
+            sx = (oj + 0.5) * w / w2 - 0.5
+            x0 = int(np.floor(sx))
+            fx = sx - x0
+
+            def px(i, j):
+                return x[..., min(max(i, 0), h - 1), min(max(j, 0), w - 1)]
+
+            out[..., oi, oj] = ((1 - fy) * ((1 - fx) * px(y0, x0) + fx * px(y0, x0 + 1))
+                                + fy * ((1 - fx) * px(y0 + 1, x0) + fx * px(y0 + 1, x0 + 1)))
+    return out
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("src,dst", [((4, 5), (9, 7)), ((8, 6), (3, 4)), ((5, 5), (5, 5))])
+def test_bilinear_resize_matches_gather_oracle(lead, src, dst):
+    x = np.random.default_rng(9).normal(size=lead + src)
+    want = _resize_oracle(x, *dst)
+    assert np.abs(T.bilinear_resize_array(x, *dst) - want).max() < 1e-10
+    assert np.abs(T.bilinear_resize(Tensor(x), *dst).data - want).max() < 1e-10
 
 
 def test_bilinear_resize_preserves_constants():
