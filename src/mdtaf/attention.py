@@ -56,7 +56,6 @@ class BlockConfig:
     attn: AttentionConfig
     mlp_ratio: int = 4
     msa: bool = True
-    eq17_literal: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +317,4 @@ def mdt_block(x: Tensor, h: int, w: int, cfg: BlockConfig, params: ParamStore,
         z = y_e
     m = linear(params, f"{prefix}.mlp.fc1", token_norm(params, f"{prefix}.norm2", z))
     m = linear(params, f"{prefix}.mlp.fc2", T.gelu(m))
-    if cfg.eq17_literal:
-        return m
     return m + z

@@ -51,59 +51,44 @@ def _time(fn, repeats: int = 3) -> float:
 def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
                     reduction: int = 8, window: int = 8, seed: int = 0):
     """Return CSV-ready rows: {kind, N, C, R_or_w, flops_estimate, wall_ms}."""
+    def esa(x, side, cfg, store):
+        return efficient_self_attention(x, cfg, store, "a")
+
+    def ssa(x, side, cfg, store):
+        return spatial_self_attention(x, side, side, cfg, store, "a")
+
+    def csa(x, side, cfg, store):
+        return channel_self_attention(x, side, side, cfg, store, "a")
+
+    # kind -> (init, forward, flops(N), R_or_w, ESA reduction, multiple of
+    # the square side, or None for a kind that needs no spatial grid)
+    table = {
+        "dense": (init_esa, esa, lambda n: flops_dense(n, channels), 1, 1, None),
+        "esa": (init_esa, esa, lambda n: flops_esa(n, channels, reduction),
+                reduction, reduction, None),
+        "ssa": (init_ssa, ssa, lambda n: flops_ssa(n, channels, window), window, 1, window),
+        "csa": (init_csa, csa, lambda n: flops_csa(n, channels, heads), heads, 1, 1),
+    }
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
         x = Tensor(rng.normal(size=(1, n, channels)).astype(np.float32))
         for kind in kinds:
-            if kind == "dense":
-                cfg = AttentionConfig(channels, heads, reduction=1,
-                                      window=window, r1=8, r2=8)
-                store = ParamStore()
-                init_esa(store, Initializer(seed), "a", cfg)
-                def fwd():
-                    with no_grad():
-                        efficient_self_attention(x, cfg, store, "a")
-                rknob = 1
-                fl = flops_dense(n, channels)
-            elif kind == "esa":
-                cfg = AttentionConfig(channels, heads, reduction=reduction,
-                                      window=window, r1=8, r2=8)
-                store = ParamStore()
-                init_esa(store, Initializer(seed), "a", cfg)
-                def fwd():
-                    with no_grad():
-                        efficient_self_attention(x, cfg, store, "a")
-                rknob = reduction
-                fl = flops_esa(n, channels, reduction)
-            elif kind == "ssa":
-                side = int(round(np.sqrt(n)))
-                if side * side != n or side % window:
-                    raise ValueError(f"ssa needs square N divisible by window, got N={n}")
-                cfg = AttentionConfig(channels, heads, reduction=1,
-                                      window=window, r1=8, r2=8)
-                store = ParamStore()
-                init_ssa(store, Initializer(seed), "a", cfg)
-                def fwd():
-                    with no_grad():
-                        spatial_self_attention(x, side, side, cfg, store, "a")
-                rknob = window
-                fl = flops_ssa(n, channels, window)
-            elif kind == "csa":
-                side = int(round(np.sqrt(n)))
-                if side * side != n:
-                    raise ValueError(f"csa bench needs square N, got {n}")
-                cfg = AttentionConfig(channels, heads, reduction=1,
-                                      window=window, r1=8, r2=8)
-                store = ParamStore()
-                init_csa(store, Initializer(seed), "a", cfg)
-                def fwd():
-                    with no_grad():
-                        channel_self_attention(x, side, side, cfg, store, "a")
-                rknob = heads
-                fl = flops_csa(n, channels, heads)
-            else:
+            if kind not in table:
                 raise ValueError(f"unknown attention kind {kind!r}")
+            init, forward, flops, rknob, r, multiple = table[kind]
+            side = int(round(np.sqrt(n)))  # grid side; ignored by the token kinds
+            if multiple is not None and (side * side != n or side % multiple):
+                raise ValueError(f"{kind} needs square N with side divisible by "
+                                 f"{multiple}, got N={n}")
+            cfg = AttentionConfig(channels, heads, reduction=r, window=window, r1=8, r2=8)
+            store = ParamStore()
+            init(store, Initializer(seed), "a", cfg)
+
+            def fwd():
+                with no_grad():
+                    forward(x, side, cfg, store)
+
             rows.append({"kind": kind, "N": n, "C": channels, "R_or_w": rknob,
-                         "flops_estimate": fl, "wall_ms": _time(fwd)})
+                         "flops_estimate": flops(n), "wall_ms": _time(fwd)})
     return rows

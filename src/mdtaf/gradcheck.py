@@ -66,3 +66,15 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
             numeric = (f_plus - f_minus) / (2.0 * eps)
             worst = max(worst, relative_error(float(gflat[i]), numeric))
     return worst
+
+
+def grad_check_params(loss_fn: Callable[[dict], Tensor], store, **kw) -> float:
+    """:func:`grad_check` over every tensor of a ``ParamStore``.
+
+    ``loss_fn`` receives a plain name -> tensor dict of the float64 copies;
+    the model only indexes its parameters by name, so the dict stands in for
+    the store.  Keyword arguments go to :func:`grad_check`.
+    """
+    names = store.names()
+    return grad_check(lambda *tensors: loss_fn(dict(zip(names, tensors))),
+                      list(store.tensors()), **kw)

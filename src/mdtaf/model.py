@@ -41,7 +41,6 @@ class ModelConfig:
     num_classes: int = 1
     filtering: bool = True
     msa: bool = True
-    eq17_literal: bool = False
 
     def embed_config(self, stage: int) -> PatchEmbedConfig:
         cin = self.input_channels if stage == 0 else self.stage_channels[stage - 1]
@@ -56,14 +55,27 @@ class ModelConfig:
                                reduction=self.esa_reduction[stage],
                                window=self.window[stage],
                                r1=self.r1, r2=self.r2)
-        return BlockConfig(attn=attn, mlp_ratio=self.mlp_ratio,
-                           msa=self.msa, eq17_literal=self.eq17_literal)
+        return BlockConfig(attn=attn, mlp_ratio=self.mlp_ratio, msa=self.msa)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict`` for a checkpoint's config.  A missing or
+        unknown key raises :class:`CheckpointCorruptError`.  ``eq17_literal``,
+        a removed block variant without the MLP residual, is accepted while
+        false, because checkpoints written before its removal hold it."""
+        if not isinstance(d, dict):
+            raise CheckpointCorruptError(f"checkpoint config is a {type(d).__name__}, not an object")
+        d = dict(d)
+        if d.pop("eq17_literal", False) is not False:
+            raise CheckpointCorruptError("checkpoint config sets eq17_literal, a removed block variant")
+        fields = {f.name for f in dataclasses.fields(ModelConfig)}
+        bad = sorted(set(d) ^ fields)
+        if bad:
+            what = "lacks" if bad[0] in fields else "has unknown"
+            raise CheckpointCorruptError(f"checkpoint config {what} key {bad[0]!r}")
         tup = {"stage_channels", "stage_depths", "heads", "esa_reduction", "window"}
         kw = {k: (tuple(v) if k in tup else v) for k, v in d.items()}
         return ModelConfig(**kw)

@@ -55,12 +55,6 @@ class ParamStore:
             out.add(name, t.data.astype(dtype))
         return out
 
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, t in self._params.items():
-            out.add(name, t.data.copy())
-        return out
-
 
 class Initializer:
     """Seeded weight initializer: truncated normal weights, zero biases."""

@@ -102,12 +102,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
@@ -191,10 +185,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Accumulate into ``grad`` of every leaf reachable from ``loss``.
 
-    Accumulation follows fixed reverse-creation order, so repeated runs are
-    bit-identical.
+    Leaves are the tensors with no VJP: parameters and gradcheck inputs.
+    Intermediate nodes keep ``grad`` None, and each intermediate gradient is
+    freed once its VJP has run.  Parents are created before their children,
+    so descending creation order is a topological order; accumulation follows
+    it, so repeated runs are bit-identical.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -203,35 +200,26 @@ def backward(loss: Tensor):
     if not loss.requires_grad:
         raise GraphError("loss does not require grad; nothing to differentiate")
 
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    nodes: dict[int, Tensor] = {}
+    stack = [loss]
     while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
+        node = stack.pop()
+        if node._nid in nodes:
             continue
-        if node._nid in visited:
-            continue
-        visited.add(node._nid)
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and p._nid not in visited:
-                stack.append((p, False))
+        nodes[node._nid] = node
+        stack.extend(p for p in node._parents if p.requires_grad)
 
     grads: dict[int, np.ndarray] = {loss._nid: np.ones_like(loss.data)}
-    for node in sorted(topo, key=lambda t: t._nid, reverse=True):
-        g = grads.pop(node._nid, None)
+    for nid in sorted(nodes, reverse=True):
+        node = nodes[nid]
+        g = grads.pop(nid, None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
         if node._vjp is None:
+            # a VJP may hand the same buffer to several parents: copy it
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
+        for p, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
             if p._nid in grads:
@@ -298,10 +286,14 @@ def tanh(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never evaluates exp of a positive argument."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = sigmoid_array(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -404,25 +396,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(out, tuple(parts), vjp)
-
-
-def pad2d(a: Tensor, pad: int, mode: str = "constant") -> Tensor:
-    """Pad the last two axes symmetrically by ``pad`` pixels."""
-    if pad == 0:
-        return a
-    width = [(0, 0)] * (a.ndim - 2) + [(pad, pad), (pad, pad)]
-    out = np.pad(a.data, width, mode=mode)
-    if mode != "constant":
-        # reflect-pad is only used on non-tracked inputs (model image padding)
-        if a.requires_grad and _grad_enabled:
-            raise GraphError("non-constant pad2d is not differentiable")
-        return Tensor(out)
-
-    def vjp(g):
-        sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-        return (g[sl],)
-
-    return _node(out, (a,), vjp)
 
 
 def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 from .attention import ALPHA_MIN
 from .model import ModelConfig, model_forward, save_checkpoint
 from .params import ParamStore
-from .tensor import ShapeError, Tensor, no_grad
+from .tensor import ShapeError, Tensor, no_grad, sigmoid_array
 from .tensor import _node  # loss primitive shares the tape machinery
 
 DICE_EPS = 1e-6
@@ -35,9 +35,7 @@ def bce_loss(logits: Tensor, targets: Tensor) -> Tensor:
     out = np.asarray(elem.sum() / n)
 
     def vjp(g):
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * (sig - y) / n, None)
+        return (g * (sigmoid_array(x) - y) / n, None)
 
     return _node(out, (logits, targets), vjp)
 

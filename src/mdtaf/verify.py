@@ -19,8 +19,8 @@ from .attention import (AttentionConfig, BlockConfig, channel_self_attention,
                         spatial_self_attention, window_merge, window_partition)
 from .filter_embed import (PatchEmbedConfig, filtered_embed, init_patch_embed,
                            overlap_patch_embed)
-from .gradcheck import grad_check
-from .model import (desk_config, init_params, load_checkpoint,
+from .gradcheck import grad_check, grad_check_params
+from .model import (desk_config, init_params, load_checkpoint, model_forward,
                     save_checkpoint, tiny_config)
 from .params import Initializer, ParamStore
 from .tensor import Tensor, no_grad
@@ -119,17 +119,23 @@ def check_gradients_block(seed=0):
     rng = np.random.default_rng(seed)
     _randomize(store64, rng)
     x = Tensor(rng.normal(size=(1, 16, 8)))
-    names = store64.names()
-
-    def fn(*tensors):
-        p = ParamStore()
-        for name, t in zip(names, tensors):
-            p._params[name] = t
-        return T.tsum(T.tanh(mdt_block(x, 4, 4, cfg, p, "blk")))
-
-    err = grad_check(fn, list(store64.tensors()), max_coords=4, min_grad=1e-6,
-                     rng=np.random.default_rng(seed))
+    err = grad_check_params(lambda p: T.tsum(T.tanh(mdt_block(x, 4, 4, cfg, p, "blk"))),
+                            store64, max_coords=4, min_grad=1e-6,
+                            rng=np.random.default_rng(seed))
     return err < 1e-3, f"max rel err {err:.2e}"
+
+
+def check_gradients_model(seed=0):
+    """Whole tiny model in float64 at 32x32, one probed coordinate per tensor."""
+    cfg = tiny_config()
+    store = init_params(cfg, seed).astype(np.float64)
+    rng = np.random.default_rng(seed)
+    _randomize(store, rng, scale=0.1)
+    x = Tensor(rng.normal(size=(1, 1, 32, 32)))
+    y = Tensor((rng.random((1, 1, 32, 32)) > 0.7).astype(np.float64))
+    err = grad_check_params(lambda p: bce_loss(model_forward(x, cfg, p), y), store,
+                            max_coords=1, min_grad=1e-6, rng=np.random.default_rng(seed))
+    return err < 1e-3, f"max rel err {err:.2e} (threshold 1e-3)"
 
 
 def check_softmax_props(seed=0):

@@ -14,7 +14,7 @@ from mdtaf import verify as V
 from mdtaf.attention import combine_branches
 from mdtaf.bench import bench_attention
 from mdtaf.data import SynthSpec, generate_samples
-from mdtaf.gradcheck import grad_check
+from mdtaf.gradcheck import grad_check_params
 from mdtaf.model import (default_config, desk_config, encoder_forward,
                          init_params, model_forward)
 from mdtaf.params import ParamStore
@@ -48,16 +48,8 @@ def test_criterion_1_gradient_suite():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(1, 1, 32, 32)))
     y = Tensor((rng.uniform(size=(1, 1, 32, 32)) > 0.5).astype(np.float64))
-    names = store.names()
-
-    def fn(*tensors):
-        p = ParamStore()
-        for name, t in zip(names, tensors):
-            p._params[name] = t
-        return bce_loss(model_forward(x, cfg, p), y)
-
-    err = grad_check(fn, list(store.tensors()), max_coords=1, min_grad=1e-6,
-                     rng=np.random.default_rng(0))
+    err = grad_check_params(lambda p: bce_loss(model_forward(x, cfg, p), y), store,
+                            max_coords=1, min_grad=1e-6, rng=np.random.default_rng(0))
     wall = time.monotonic() - t0
     ok = ok_ops and ok_blk and err < 1e-3 and wall < 300.0
     _gate("gradient-suite", ok,

@@ -63,6 +63,18 @@ def test_gradcheck_ops_passes(capsys):
     assert "conv2d=" in capsys.readouterr().out
 
 
+def test_gradcheck_block_passes(capsys):
+    assert run(["gradcheck", "--module", "block", "--seed", "0"]) == 0
+    assert "gradcheck block: max rel err" in capsys.readouterr().out
+
+
+def test_verify_passes_every_check(capsys):
+    from mdtaf.verify import ALL_CHECKS
+    assert run(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == [f"[PASS] {name}" for name, _ in ALL_CHECKS]
+
+
 def test_missing_checkpoint_exits_1(workspace, capsys):
     assert run(["eval", "--data", workspace["data"],
                 "--checkpoint", str(workspace["root"] / "absent.ckpt")]) == 1
@@ -85,6 +97,18 @@ def test_config_file_sets_defaults_but_flags_win(workspace, tmp_path, capsys):
     assert len(recs) == 1  # explicit flag beat the config file
     img = read_pnm(os.path.join(out_dir, recs[0]["image_path"]))
     assert img.shape == (16, 16)  # config default applied
+
+
+def test_config_file_errors_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out_dir = tmp_path / "ds"
+    for content, named in (({"model.stage_channels": [8, 16, 20, 32]}, "model.stage_channels"),
+                           ({"gen-data.command": "verify"}, "gen-data.command"),
+                           ([{"gen-data.count": 2}], "list")):
+        cfg.write_text(json.dumps(content))
+        assert run(["--config", str(cfg), "gen-data", "--out", str(out_dir)]) == 2
+        assert named in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

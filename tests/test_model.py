@@ -1,5 +1,7 @@
 """Model assembly tests: shapes, padding, checkpoints, ablations."""
 
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +161,40 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
     with pytest.raises((CheckpointShapeError, CheckpointError)):
         load_checkpoint(path, expect_cfg=tiny_config(msa=False))
+
+
+def _edit_checkpoint_config(path, edit):
+    """Rewrite the JSON config of the checkpoint at ``path`` through ``edit``."""
+    blob = open(path, "rb").read()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    d = json.loads(blob[16:16 + n])
+    edit(d)
+    new = json.dumps(d, sort_keys=True).encode("utf-8")
+    open(path, "wb").write(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + n:])
+
+
+def test_checkpoint_config_keys(tmp_path):
+    cfg = tiny_config()
+    path = str(tmp_path / "k.ckpt")
+    save_checkpoint(init_params(cfg, seed=0), cfg, path)
+    # checkpoints written before the eq17_literal field was removed hold it, false
+    _edit_checkpoint_config(path, lambda d: d.update(eq17_literal=False))
+    assert load_checkpoint(path)[1] == cfg
+    _edit_checkpoint_config(path, lambda d: d.update(eq17_literal=True))
+    with pytest.raises(CheckpointCorruptError, match="eq17_literal"):
+        load_checkpoint(path)
+    _edit_checkpoint_config(path, lambda d: d.update(eq17_literal=False, stage_chanels=[1]))
+    with pytest.raises(CheckpointCorruptError, match="unknown key 'stage_chanels'"):
+        load_checkpoint(path)
+
+    def drop_channels(d):
+        del d["stage_chanels"], d["stage_channels"]
+
+    _edit_checkpoint_config(path, drop_channels)
+    with pytest.raises(CheckpointCorruptError, match="lacks key 'stage_channels'"):
+        load_checkpoint(path)
+    with pytest.raises(CheckpointCorruptError, match="list"):
+        ModelConfig.from_dict([])
 
 
 def test_checkpoint_error_hierarchy():
