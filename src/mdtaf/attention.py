@@ -138,9 +138,7 @@ def efficient_self_attention(x: Tensor, cfg: AttentionConfig, params: ParamStore
     qh = _split_heads(q, cfg.heads)
     kh = _split_heads(k, cfg.heads)
     vh = _split_heads(v, cfg.heads)
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    attn = T.softmax(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))) * scale, axis=-1)
-    y = _merge_heads(T.matmul(attn, vh))
+    y = _merge_heads(T.attention(qh, kh, vh, 1.0 / np.sqrt(cfg.head_dim)))
     return linear(params, f"{prefix}.proj", y) + residual
 
 
@@ -224,13 +222,10 @@ def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     kw = _split_heads(windowed(k), cfg.heads)
     vw = _split_heads(windowed(v), cfg.heads)
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    logits = T.matmul(qw, T.transpose(kw, (0, 1, 3, 2))) * scale
     idx = relative_position_index(win).reshape(-1)
     bias = T.getitem(params[f"{prefix}.rel_pos_bias"], idx)  # (T*T, heads)
     bias = T.transpose(T.reshape(bias, (win * win, win * win, cfg.heads)), (2, 0, 1))
-    attn = T.softmax(logits + bias, axis=-1)
-    yw = _merge_heads(T.matmul(attn, vw))
+    yw = _merge_heads(T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias))
     y_sp = T.reshape(window_merge(yw, win, h, w), (b, n, c))
     y_sp = linear(params, f"{prefix}.merge", y_sp)
 

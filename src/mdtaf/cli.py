@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 validation failure (threshold exceeded / checks
 failed), 2 usage error.  A JSON config file, one object with flat dotted
 keys (e.g. "train.lr-max"), pre-sets flags of the command being run; the
 last dotted segment names the flag, explicit flags win, and a key that
-names no flag of the command is a usage error.  MDTAF_SEED provides the
-default seed.
+names no flag of the command, or a value its flag could not have parsed
+(a string for a number, a non-bool for a switch, a value outside the
+choices), is a usage error.  MDTAF_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def _default_seed() -> int:
     return int(os.environ.get("MDTAF_SEED", "0"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its sub-parsers by command name."""
     p = argparse.ArgumentParser(prog="mdtaf", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="JSON config file with flat dotted keys")
@@ -79,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     gc.add_argument("--module", choices=("ops", "block", "model"), default="ops")
-    gc.add_argument("--dims", choices=("tiny",), default="tiny")
     gc.add_argument("--seed", type=int, default=None)
 
     sub.add_parser("verify", help="run the full invariant suite")
@@ -92,14 +93,28 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--window", type=int, default=8)
     b.add_argument("--heads", type=int, default=2)
     b.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    return p
+    return p, sub.choices
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list):
+def _fits(action: argparse.Action, value) -> bool:
+    """True when a JSON value is one the flag of ``action`` could have parsed."""
+    if action.nargs == 0:  # store_true
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if action.choices is not None and value not in action.choices:
+        return False
+    kinds = {int: int, float: (int, float), None: str}[action.type]
+    return isinstance(value, kinds)
+
+
+def _apply_config_file(args: argparse.Namespace, argv: list,
+                       command: argparse.ArgumentParser):
     """Dotted keys in the JSON file set defaults; explicit flags keep priority.
 
-    Raises ValueError for a file that is not one JSON object or for a key
-    that names no flag of ``args.command``.
+    Raises ValueError for a file that is not one JSON object, for a key that
+    names no flag of ``args.command`` and for a value that its flag could not
+    have parsed.
     """
     if not args.config:
         return
@@ -107,13 +122,16 @@ def _apply_config_file(args: argparse.Namespace, argv: list):
         overrides = json.load(f)
     if not isinstance(overrides, dict):
         raise ValueError(f"expected a JSON object, got {type(overrides).__name__}")
-    flags = set(vars(args)) - {"command", "config"}
+    flags = {a.dest: a for a in command._actions if a.dest in vars(args)}
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
     for key, value in overrides.items():
         attr = key.split(".")[-1].replace("-", "_")
         if attr not in flags:
             raise ValueError(f"key {key!r} names no flag of {args.command!r}")
+        if not _fits(flags[attr], value):
+            raise ValueError(f"key {key!r}: {value!r} is not a valid value of "
+                             f"--{attr.replace('_', '-')}")
         if attr not in explicit:
             setattr(args, attr, value)
 
@@ -221,13 +239,13 @@ _COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "eval": cmd_eval,
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 2
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(args, argv, commands[args.command])
     except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error reading config file: {e}", file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -77,6 +79,9 @@ class ModelConfig:
             what = "lacks" if bad[0] in fields else "has unknown"
             raise CheckpointCorruptError(f"checkpoint config {what} key {bad[0]!r}")
         tup = {"stage_channels", "stage_depths", "heads", "esa_reduction", "window"}
+        for k in sorted(tup):
+            if not isinstance(d[k], (list, tuple)):
+                raise CheckpointCorruptError(f"checkpoint config key {k!r} is not a list")
         kw = {k: (tuple(v) if k in tup else v) for k, v in d.items()}
         return ModelConfig(**kw)
 
@@ -255,11 +260,22 @@ def save_checkpoint(params: ParamStore, cfg: ModelConfig, path: str):
             f.write(t.data.astype("<f4", copy=False).tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+def _read_exact(f, n: int, what: str, end: int) -> bytes:
+    """Read ``n`` bytes; ``end`` is the file size, checked before reading so
+    that a corrupt length never becomes a huge allocation."""
+    if n > end - f.tell():
         raise CheckpointCorruptError(f"truncated checkpoint while reading {what}")
-    return buf
+    return f.read(n)
+
+
+def _read_count(f, what: str, end: int, unit: int = 1) -> int:
+    """Read a u64 count of items that take at least ``unit`` bytes each and
+    check that they fit in the bytes left."""
+    (n,) = struct.unpack("<Q", _read_exact(f, 8, what, end))
+    left = end - f.tell()
+    if n * unit > left:
+        raise CheckpointCorruptError(f"{what} {n} does not fit in the {left} bytes left")
+    return n
 
 
 def load_checkpoint(path: str, expect_cfg: ModelConfig | None = None):
@@ -270,24 +286,33 @@ def load_checkpoint(path: str, expect_cfg: ModelConfig | None = None):
     except FileNotFoundError as e:
         raise CheckpointError(f"checkpoint not found: {path}") from e
     with f:
-        magic = _read_exact(f, 5, "magic")
+        end = os.fstat(f.fileno()).st_size
+        magic = _read_exact(f, 5, "magic", end)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        version = _read_exact(f, 3, "version")
+        version = _read_exact(f, 3, "version", end)
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(f"unsupported checkpoint version {version!r}")
-        (blob_len,) = struct.unpack("<Q", _read_exact(f, 8, "config length"))
-        cfg = ModelConfig.from_dict(json.loads(_read_exact(f, blob_len, "config")))
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "tensor count"))
+        blob_len = _read_count(f, "config length", end)
+        try:
+            blob = json.loads(_read_exact(f, blob_len, "config", end))
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise CheckpointCorruptError(f"checkpoint config is not JSON: {e}") from e
+        cfg = ModelConfig.from_dict(blob)
+        # every tensor needs at least its name length and its rank
+        count = _read_count(f, "tensor count", end, unit=16)
         store = ParamStore()
         for _ in range(count):
-            (nlen,) = struct.unpack("<Q", _read_exact(f, 8, "name length"))
-            name = _read_exact(f, nlen, "name").decode("utf-8")
-            (rank,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
-            shape = tuple(struct.unpack("<Q", _read_exact(f, 8, "extent"))[0]
-                          for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, 4 * n, f"data of {name}")
+            nlen = _read_count(f, "name length", end)
+            try:
+                name = _read_exact(f, nlen, "name", end).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointCorruptError(f"tensor name is not UTF-8: {e}") from e
+            if name in store:
+                raise CheckpointCorruptError(f"duplicate tensor name {name!r}")
+            rank = _read_count(f, "rank", end, unit=8)
+            shape = tuple(_read_count(f, "extent", end) for _ in range(rank))
+            raw = _read_exact(f, 4 * math.prod(shape), f"data of {name}", end)
             store.add(name, np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
         if f.read(1):
             raise CheckpointCorruptError("trailing bytes after last tensor")

@@ -334,13 +334,14 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along ``axis`` (max-subtraction)."""
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         gs = g * out
-        return (gs - out * gs.sum(axis=axis, keepdims=True),)
+        gs -= out * gs.sum(axis=axis, keepdims=True)
+        return (gs,)
 
     return _node(out, (a,), vjp)
 
@@ -451,6 +452,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _node(out, (a, b), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              bias: Optional[Tensor] = None) -> Tensor:
+    """``softmax(q @ k^T * scale + bias, axis=-1) @ v`` as one tape node.
+
+    q: (..., N, d), k: (..., M, d), v: (..., M, dv); ``bias`` broadcasts
+    against the (..., N, M) scores.  The scores live in one buffer that is
+    scaled, biased and normalized in place, in the order of the composite
+    ``matmul * scale + bias -> softmax``, so both give the same floats.  The
+    VJP is the closed form through the kept probabilities P:
+    ``dS = P*dP - P*rowsum(P*dP)`` with ``dP = g v^T``.
+    """
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = q.data.dtype.type(scale)  # a float64 scale would promote f32 scores
+    p = np.matmul(q.data, k.data.swapaxes(-1, -2))
+    p *= scale
+    if bias is not None:
+        p += bias.data
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v.data)
+
+    def vjp(g):
+        ds = np.matmul(g, v.data.swapaxes(-1, -2))
+        ds *= p
+        ds -= p * ds.sum(axis=-1, keepdims=True)
+        gbias = None
+        if bias is not None:
+            gbias = _unbroadcast(ds, bias.shape)
+            if gbias is ds:  # ds is scaled in place below
+                gbias = ds.copy()
+        ds *= scale
+        gq = _unbroadcast(np.matmul(ds, k.data), q.shape)
+        gk = _unbroadcast(np.matmul(q.data.swapaxes(-1, -2), ds).swapaxes(-1, -2), k.shape)
+        gv = _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), v.shape)
+        return gq, gk, gv, gbias
+
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    return _node(out, parents, vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:

@@ -96,6 +96,13 @@ def check_gradients_ops(seed=0):
     target = Tensor((rng.random((2, 1, 4, 4)) > 0.5).astype(np.float64))
     worst["bce_loss"] = grad_check(lambda x: bce_loss(x, target),
                                    [_rand(rng, 2, 1, 4, 4)])
+    # fused ESA/SSA core, without and with a (heads, N, M) bias
+    probe_at = _rand(rng, 2, 2, 3, 5)
+    qkv = [_rand(rng, 2, 2, 3, 4), _rand(rng, 2, 2, 6, 4), _rand(rng, 2, 2, 6, 5)]
+    worst["attention"] = max(
+        grad_check(lambda q, k, v: T.tsum(T.attention(q, k, v, 0.5) * probe_at), qkv),
+        grad_check(lambda q, k, v, b: T.tsum(T.attention(q, k, v, 0.5, b) * probe_at),
+                   qkv + [_rand(rng, 2, 3, 6)]))
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     detail = ", ".join(f"{k}={v:.2e}" for k, v in sorted(worst.items()))
     return not bad, detail

@@ -104,10 +104,17 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     out_dir = tmp_path / "ds"
     for content, named in (({"model.stage_channels": [8, 16, 20, 32]}, "model.stage_channels"),
                            ({"gen-data.command": "verify"}, "gen-data.command"),
-                           ([{"gen-data.count": 2}], "list")):
+                           ([{"gen-data.count": 2}], "list"),
+                           ({"gen-data.count": "2"}, "gen-data.count"),
+                           ({"gen-data.noise-sigma": "0.1"}, "gen-data.noise-sigma"),
+                           ({"gen-data.family": "squares"}, "gen-data.family"),
+                           ({"gen-data.out": 3}, "gen-data.out")):
         cfg.write_text(json.dumps(content))
         assert run(["--config", str(cfg), "gen-data", "--out", str(out_dir)]) == 2
         assert named in capsys.readouterr().err
+    cfg.write_text(json.dumps({"train.no-msa": 1}))
+    assert run(["--config", str(cfg), "train", "--data", str(out_dir)]) == 2
+    assert "train.no-msa" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

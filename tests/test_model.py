@@ -1,10 +1,14 @@
 """Model assembly tests: shapes, padding, checkpoints, ablations."""
 
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdtaf.model import (CheckpointCorruptError, CheckpointError,
                          CheckpointMagicError, CheckpointShapeError,
@@ -12,6 +16,7 @@ from mdtaf.model import (CheckpointCorruptError, CheckpointError,
                          desk_config, encoder_forward, init_params,
                          load_checkpoint, model_forward, pad_to_multiple,
                          save_checkpoint, tiny_config)
+from mdtaf.params import ParamStore
 from mdtaf.tensor import Tensor, no_grad
 
 
@@ -195,6 +200,56 @@ def test_checkpoint_config_keys(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CheckpointCorruptError, match="list"):
         ModelConfig.from_dict([])
+    _edit_checkpoint_config(path, lambda d: d.update(stage_channels=64))
+    with pytest.raises(CheckpointCorruptError, match="'stage_channels' is not a list"):
+        load_checkpoint(path)
+
+
+def _small_checkpoint_bytes(tmp_dir):
+    """A valid checkpoint of two one-letter tensors, a (2,3) 'a' and a (4,) 'b',
+    and the offset of the byte after its config."""
+    store = ParamStore()
+    store.add("a", np.arange(6, dtype=np.float32).reshape(2, 3))
+    store.add("b", np.ones(4, dtype=np.float32))
+    path = os.path.join(tmp_dir, "small.ckpt")
+    save_checkpoint(store, tiny_config(), path)
+    blob = open(path, "rb").read()
+    return blob, 16 + struct.unpack("<Q", blob[8:16])[0]
+
+
+def test_checkpoint_rejects_oversized_lengths_and_duplicates(tmp_path):
+    blob, cfg_end = _small_checkpoint_bytes(str(tmp_path))
+    first_extent = cfg_end + 8 + 8 + 1 + 8   # count, name length, "a", rank
+    second_name = first_extent + 16 + 24 + 8
+    assert blob[second_name:second_name + 1] == b"b"
+    path = str(tmp_path / "bad.ckpt")
+    for at, patch, message in ((8, struct.pack("<Q", 2 ** 62), "config length"),
+                               (first_extent, struct.pack("<Q", 2 ** 40), "extent"),
+                               (cfg_end, struct.pack("<Q", 2 ** 60), "tensor count"),
+                               (first_extent - 8, struct.pack("<Q", 2 ** 61), "rank"),
+                               (second_name, b"a", "duplicate tensor name 'a'")):
+        open(path, "wb").write(blob[:at] + patch + blob[at + len(patch):])
+        with pytest.raises(CheckpointCorruptError, match=message):
+            load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_fuzz_raises_only_checkpoint_errors(data):
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        blob, _ = _small_checkpoint_bytes(tmp_dir)
+        cut = data.draw(st.integers(0, len(blob)), label="length")
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)), max_size=4), label="flips")
+        buf = bytearray(blob)
+        for at, mask in flips:
+            buf[at] ^= mask
+        path = os.path.join(tmp_dir, "fuzz.ckpt")
+        open(path, "wb").write(bytes(buf[:cut]))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_checkpoint_error_hierarchy():

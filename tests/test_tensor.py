@@ -174,6 +174,47 @@ def test_layer_norm_is_one_tape_node():
     assert y._parents[0] is x
 
 
+def _attention_composite(q, k, v, scale, bias=None):
+    # the ESA/SSA chain as it was built from separate tape ops
+    s = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale
+    if bias is not None:
+        s = s + bias
+    return T.matmul(T.softmax(s, axis=-1), v)
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_attention_matches_composite_f32(with_bias):
+    rng = np.random.default_rng(7)
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    q, k, v = leaf(3, 2, 16, 8), leaf(3, 2, 12, 8), leaf(3, 2, 12, 8)
+    leaves = [q, k, v] + ([leaf(2, 16, 12)] if with_bias else [])
+    probe = Tensor(rng.normal(size=(3, 2, 16, 8)).astype(np.float32))
+    scale = 1.0 / np.sqrt(8)
+    got, want = [], []
+    for op, res in ((T.attention, got), (_attention_composite, want)):
+        for t in leaves:
+            t.zero_grad()
+        y = op(*leaves[:3], scale, *leaves[3:])
+        T.tsum(y * probe).backward()
+        res.append(y.data.copy())
+        res.extend(t.grad.copy() for t in leaves)
+    assert np.array_equal(got[0], want[0])  # same floats, same op order
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == np.float32
+        assert np.abs(a - b).max() / max(1.0, np.abs(b).max()) < TOL
+
+
+def test_attention_keeps_f32_under_f64_scale():
+    q = Tensor(RNG.normal(size=(1, 4, 8)).astype(np.float32), requires_grad=True)
+    y = T.attention(q, q, q, 1.0 / np.sqrt(np.float64(8)))
+    assert y.dtype == np.float32
+    T.tsum(y).backward()
+    assert q.grad.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # convolution: loop oracle plus gradients
 
