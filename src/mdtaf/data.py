@@ -86,6 +86,14 @@ def _read_token(f, path: str) -> bytes:
         tok += ch
 
 
+def _read_int(f, path: str, what: str) -> int:
+    """A header field: a decimal number of at most 9 digits."""
+    tok = _read_token(f, path)
+    if not tok.isdigit() or len(tok) > 9:
+        raise DataError(f"{path}: {what} {tok[:16]!r} is not a number below 10^9")
+    return int(tok)
+
+
 def read_pnm(path: str) -> np.ndarray:
     """Returns uint8 H,W (from P5) or H,W,3 (from P6)."""
     try:
@@ -93,18 +101,23 @@ def read_pnm(path: str) -> np.ndarray:
     except FileNotFoundError as e:
         raise DataError(f"missing file: {path}") from e
     with f:
+        end = os.fstat(f.fileno()).st_size
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise DataError(f"{path}: bad magic {magic!r}, expected P5 or P6")
-        w = int(_read_token(f, path))
-        h = int(_read_token(f, path))
-        maxval = int(_read_token(f, path))
+        w = _read_int(f, path, "width")
+        h = _read_int(f, path, "height")
+        maxval = _read_int(f, path, "maxval")
+        if w < 1 or h < 1:
+            raise DataError(f"{path}: empty image {w}x{h}")
         if maxval != 255:
             raise DataError(f"{path}: unsupported maxval {maxval}")
         ch = 3 if magic == b"P6" else 1
-        raw = f.read(w * h * ch)
-        if len(raw) != w * h * ch:
-            raise DataError(f"{path}: truncated pixel data")
+        n = w * h * ch
+        if n > end - f.tell():
+            raise DataError(f"{path}: truncated pixel data, {w}x{h}x{ch} bytes "
+                            f"but {end - f.tell()} left")
+        raw = f.read(n)
         arr = np.frombuffer(raw, dtype=np.uint8)
         return arr.reshape(h, w, 3) if ch == 3 else arr.reshape(h, w)
 
@@ -237,10 +250,19 @@ def load_dataset(data_dir: str, size: Optional[int] = None) -> list:
         raise DataError(f"no manifest.jsonl in {data_dir}")
     samples = []
     with open(manifest) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            where = f"{manifest}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except ValueError as e:
+                raise DataError(f"{where}: not JSON: {e}") from e
+            if not isinstance(rec, dict):
+                raise DataError(f"{where}: record is a {type(rec).__name__}, not a JSON object")
+            for key in ("id", "image_path", "mask_path"):
+                if not isinstance(rec.get(key), str):
+                    raise DataError(f"{where}: record needs a string {key!r}")
             sid = rec["id"]
             image = load_image(os.path.join(data_dir, rec["image_path"]))
             mask8 = read_pnm(os.path.join(data_dir, rec["mask_path"]))

@@ -47,6 +47,9 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     worst = 0.0
     for t in inputs:
         flat = t.data.reshape(-1)
+        if not np.shares_memory(flat, t.data):
+            # a copy: perturbing it would leave every finite difference 0
+            raise GraphError(f"grad_check input of shape {t.shape} is not contiguous")
         gflat = np.zeros_like(flat) if t.grad is None else t.grad.reshape(-1)
         coords = np.arange(flat.size)
         if min_grad > 0.0:

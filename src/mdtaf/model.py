@@ -123,7 +123,12 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
     """Deterministic store: truncated normal(0, 0.02) weights, zero biases,
     zero position-bias tables, per-head temperatures at 1.0."""
     store = ParamStore()
-    init = Initializer(seed)
+    _init_into(store, Initializer(seed), cfg)
+    return store
+
+
+def _init_into(store, init, cfg: ModelConfig):
+    """Add every parameter of ``cfg`` to ``store``, in order, with values from ``init``."""
     for i in range(4):
         prefix = f"stage{i + 1}"
         init_patch_embed(store, init, f"{prefix}.embed", cfg.embed_config(i),
@@ -135,7 +140,22 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamStore:
         init_linear(store, init, f"decoder.proj{i + 1}", cfg.stage_channels[i], cfg.decoder_dim)
     init_linear(store, init, "decoder.fuse", 4 * cfg.decoder_dim, cfg.decoder_dim)
     init_linear(store, init, "decoder.head", cfg.decoder_dim, cfg.num_classes)
-    return store
+
+
+class _ShapeRecorder:
+    """Stands in for both the store and the initializer of :func:`_init_into`:
+    it records each parameter's name and shape and allocates nothing."""
+
+    def __init__(self):
+        self.shapes: dict = {}
+
+    def add(self, name: str, shape: tuple):
+        self.shapes[name] = shape
+
+    def trunc_normal(self, shape: tuple) -> tuple:
+        return tuple(shape)
+
+    zeros = ones = trunc_normal
 
 
 def _run_stage(x: Tensor, stage: int, cfg: ModelConfig, params: ParamStore) -> Tensor:
@@ -278,9 +298,9 @@ def _read_count(f, what: str, end: int, unit: int = 1) -> int:
     return n
 
 
-def load_checkpoint(path: str, expect_cfg: ModelConfig | None = None):
-    """Load (params, cfg).  With ``expect_cfg`` the stored tensors are checked
-    name-by-name against that config's parameter template."""
+def load_checkpoint(path: str):
+    """Load (params, cfg).  The stored tensor names and shapes must be the
+    ones the stored config describes, else :class:`CheckpointShapeError`."""
     try:
         f = open(path, "rb")
     except FileNotFoundError as e:
@@ -299,6 +319,11 @@ def load_checkpoint(path: str, expect_cfg: ModelConfig | None = None):
         except ValueError as e:  # bad JSON or bad UTF-8
             raise CheckpointCorruptError(f"checkpoint config is not JSON: {e}") from e
         cfg = ModelConfig.from_dict(blob)
+        want = _ShapeRecorder()
+        try:
+            _init_into(want, want, cfg)
+        except (ValueError, TypeError, LookupError, ArithmeticError) as e:
+            raise CheckpointCorruptError(f"checkpoint config describes no model: {e}") from e
         # every tensor needs at least its name length and its rank
         count = _read_count(f, "tensor count", end, unit=16)
         store = ParamStore()
@@ -317,14 +342,12 @@ def load_checkpoint(path: str, expect_cfg: ModelConfig | None = None):
         if f.read(1):
             raise CheckpointCorruptError("trailing bytes after last tensor")
 
-    if expect_cfg is not None:
-        template = init_params(expect_cfg, seed=0)
-        if store.names() != template.names():
-            missing = set(template.names()) ^ set(store.names())
-            raise CheckpointShapeError(f"parameter names differ from config: {sorted(missing)[:5]}")
-        for name, t in template.items():
-            if store[name].shape != t.shape:
-                raise CheckpointShapeError(
-                    f"tensor {name}: checkpoint shape {store[name].shape}, "
-                    f"config expects {t.shape}")
+    if store.names() != list(want.shapes):
+        differ = sorted(set(want.shapes) ^ set(store.names()))
+        raise CheckpointShapeError(f"parameter names differ from config: {differ[:5]}")
+    for name, shape in want.shapes.items():
+        if store[name].shape != shape:
+            raise CheckpointShapeError(
+                f"tensor {name}: checkpoint shape {store[name].shape}, "
+                f"config expects {shape}")
     return store, cfg

@@ -1,9 +1,15 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap contiguous numpy arrays (float32 by default, float64 for
-gradient verification).  Every differentiable operation records its parents
-and a vector-Jacobian closure; ``backward`` replays the tape in reverse
-creation order, which keeps gradient accumulation deterministic.
+Tensors wrap numpy arrays (float32 by default, float64 for gradient
+verification).  A leaf -- a ``Tensor(...)`` built from user data or a
+parameter -- holds a C-contiguous array.  An op output keeps the array numpy
+returned, without a copy: ``transpose``, ``reshape`` and basic-key
+``getitem`` give views of their input, and elementwise ops keep its memory
+order, so switching between token and map layouts costs nothing.  Because an
+op output may share memory with its inputs, only leaves may be written in
+place.  Every differentiable operation records its parents and a
+vector-Jacobian closure; ``backward`` replays the tape in reverse creation
+order, which keeps gradient accumulation deterministic.
 
 Layout conventions: image-like data is B x C x H x W, token sequences are
 B x N x C.
@@ -73,13 +79,17 @@ def _as_array(data, dtype=None) -> np.ndarray:
 class Tensor:
     _ids = itertools.count()
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
-                 _parents: tuple = (), _vjp: Optional[Callable] = None):
-        self.data = _as_array(data, dtype)
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
+        """A leaf: ``data`` is converted to a float array and made C-contiguous."""
+        self._init(_as_array(data, dtype), bool(requires_grad), (), None)
+
+    def _init(self, data: np.ndarray, requires_grad: bool, parents: tuple,
+              vjp: Optional[Callable]):
+        self.data = data
+        self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self._parents = _parents
-        self._vjp = _vjp
+        self._parents = parents
+        self._vjp = vjp
         self._nid = next(Tensor._ids)
         self._backward_done = False
 
@@ -157,11 +167,17 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+    """Wrap an op output without copying it; it keeps numpy's layout and may
+    be a view of a parent's data."""
     if _nan_check and not np.isfinite(data).all():
         raise FloatingPointError("non-finite values produced by an operation")
+    out = Tensor.__new__(Tensor)
+    data = np.asarray(data)  # ufuncs on 0-d arrays return numpy scalars
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
-    return Tensor(data)
+        out._init(data, True, tuple(parents), vjp)
+    else:
+        out._init(data, False, (), None)
+    return out
 
 
 def _ensure(x, like: Optional[Tensor] = None) -> Tensor:
@@ -497,13 +513,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the last axis: x @ w (+ b)."""
+    """Affine map over the last axis, ``x @ w (+ b)``, as one tape node.
+
+    The weight gradient is one 2-D GEMM over the rows of every leading axis.
+    """
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear expects last dim {w.shape[0]}, got {x.shape}")
-    y = matmul(x, w)
+    out = np.matmul(x.data, w.data)
     if b is not None:
-        y = add(y, b)
-    return y
+        out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = np.matmul(g, w.data.T)
+        gw = np.matmul(x.data.reshape(-1, x.shape[-1]).T, g2)
+        if b is None:
+            return gx, gw
+        return gx, gw, g2.sum(axis=0)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(out, parents, vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
@@ -607,8 +636,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         for t, off in enumerate(taps):
             acc += xp[:, :, off:off + n] * wk[:, t]
         out = acc.reshape(bsz, cout, ho, wp)[..., :wo]
-        if b is not None:
-            out = out + b.data.reshape(1, cout, 1, 1)
+        # the crop is a strided view: return a compact B,C,H,W array
+        out = np.ascontiguousarray(out) if b is None else out + b.data.reshape(1, cout, 1, 1)
 
         def vjp_depthwise(g):
             gp = np.zeros((bsz, cout, ho, wp), dtype=g.dtype)
@@ -636,8 +665,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         .reshape(groups, og, kh * kw * cg)
     out_m = np.matmul(cols_m, w_m.swapaxes(1, 2)).transpose(1, 0, 2).reshape(rows, cout)
     if b is not None:
-        out_m = out_m + b.data
-    out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
+        out_m += b.data
+    # compact B,C,H,W: downstream ops run faster on it than on a channel-last view
+    out = np.ascontiguousarray(out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2))
 
     def vjp(g):
         g_rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(rows, cout)

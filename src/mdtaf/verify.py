@@ -103,6 +103,12 @@ def check_gradients_ops(seed=0):
         grad_check(lambda q, k, v: T.tsum(T.attention(q, k, v, 0.5) * probe_at), qkv),
         grad_check(lambda q, k, v, b: T.tsum(T.attention(q, k, v, 0.5, b) * probe_at),
                    qkv + [_rand(rng, 2, 3, 6)]))
+    # the fused linear on a 3-D input, with and without bias
+    xw = [_rand(rng, 2, 3, 5), _rand(rng, 5, 4)]
+    worst["linear"] = max(
+        worst["linear"],
+        grad_check(lambda x, w, b: T.tsum(T.gelu(T.linear(x, w, b))), xw + [_rand(rng, 4)]),
+        grad_check(lambda x, w: T.tsum(T.gelu(T.linear(x, w))), xw))
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     detail = ", ".join(f"{k}={v:.2e}" for k, v in sorted(worst.items()))
     return not bad, detail

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -79,6 +80,38 @@ def test_missing_checkpoint_exits_1(workspace, capsys):
     assert run(["eval", "--data", workspace["data"],
                 "--checkpoint", str(workspace["root"] / "absent.ckpt")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_checkpoint_of_another_shape_exits_1(workspace, tmp_path, capsys):
+    blob = open(workspace["ckpt"], "rb").read()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    cfg = json.loads(blob[16:16 + n])
+    cfg["stage_channels"] = [64, 128, 320, 512]
+    new = json.dumps(cfg, sort_keys=True).encode("utf-8")
+    ckpt = str(tmp_path / "wide.ckpt")
+    open(ckpt, "wb").write(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + n:])
+    image = os.path.join(workspace["data"], "sample_00000.pgm")
+    out = str(tmp_path / "pred.pgm")
+    assert run(["infer", "--checkpoint", ckpt, "--image", image, "--out", out]) == 1
+    assert "config expects" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(["eval", "--data", workspace["data"], "--checkpoint", ckpt]) == 1
+    assert "config expects" in capsys.readouterr().err
+
+
+def test_malformed_manifest_exits_1(workspace, tmp_path, capsys):
+    data = tmp_path / "ds"
+    data.mkdir()
+    good = json.loads(open(os.path.join(workspace["data"], "manifest.jsonl")).readline())
+    for key in ("image_path", "mask_path"):  # absolute paths survive the join
+        good[key] = os.path.join(workspace["data"], good[key])
+    for bad, named in ((json.dumps({"id": "x", "mask_path": "m.pgm"}), "'image_path'"),
+                       ("[1, 2]", "not a JSON object"),
+                       ("{not json", "not JSON")):
+        (data / "manifest.jsonl").write_text("\n".join([json.dumps(good), bad]) + "\n")
+        assert run(["eval", "--data", str(data), "--checkpoint", workspace["ckpt"]]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.jsonl:2" in err and named in err
 
 
 def test_bad_arguments_exit_2():

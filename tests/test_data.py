@@ -51,6 +51,42 @@ def test_pnm_errors_name_the_file(tmp_path):
         read_pnm(trunc)
 
 
+@pytest.mark.parametrize("header,message", [
+    (b"P5\nfour 4\n255\n", "width b'four' is not a number"),
+    (b"P5\n4 4\n2.5e2\n", "maxval"),
+    (b"P5\n4 -4\n255\n", "height b'-4' is not a number"),
+    (b"P5\n0 4\n255\n", "empty image 0x4"),
+    (b"P6\n100000 100000\n255\n", "truncated pixel data"),
+], ids=["word-width", "float-maxval", "negative-height", "zero-width", "oversized"])
+def test_pnm_header_errors_are_typed(tmp_path, header, message):
+    path = str(tmp_path / "h.pnm")
+    open(path, "wb").write(header + b"\x00" * 48)
+    with pytest.raises(DataError, match=message) as err:
+        read_pnm(path)
+    assert "h.pnm" in str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pnm_fuzz_raises_only_data_errors(data):
+    color = data.draw(st.booleans(), label="color")
+    arr = np.arange(3 * 4 * (3 if color else 1), dtype=np.uint8)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "img.pnm")
+        write_pnm(path, arr.reshape((3, 4, 3) if color else (3, 4)))
+        blob = bytearray(open(path, "rb").read())
+        cut = data.draw(st.integers(0, len(blob)), label="length")
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)), max_size=4), label="flips")
+        for at, mask in flips:
+            blob[at] ^= mask
+        open(path, "wb").write(bytes(blob[:cut]))
+        try:
+            read_pnm(path)
+        except DataError:
+            pass
+
+
 def test_write_pnm_rejects_non_uint8(tmp_path):
     with pytest.raises(DataError):
         write_pnm(str(tmp_path / "x.pgm"), np.zeros((2, 2), dtype=np.float32))

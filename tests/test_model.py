@@ -164,8 +164,23 @@ def test_checkpoint_rejects_config_mismatch(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
-    with pytest.raises((CheckpointShapeError, CheckpointError)):
-        load_checkpoint(path, expect_cfg=tiny_config(msa=False))
+    _edit_checkpoint_config(path, lambda d: d.update(msa=False))
+    with pytest.raises(CheckpointShapeError, match="names differ"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_shapes_are_checked_against_its_config(tmp_path):
+    # same names, other widths: this used to load and run its forward
+    cfg = tiny_config()
+    path = str(tmp_path / "w.ckpt")
+    save_checkpoint(init_params(cfg, seed=0), cfg, path)
+    _edit_checkpoint_config(path, lambda d: d.update(stage_channels=[64, 128, 320, 512]))
+    with pytest.raises(CheckpointShapeError, match="config expects"):
+        load_checkpoint(path)
+    # a config that builds no model is corrupt, not a shape mismatch
+    _edit_checkpoint_config(path, lambda d: d.update(stage_channels=[8, 16, 20]))
+    with pytest.raises(CheckpointCorruptError, match="describes no model"):
+        load_checkpoint(path)
 
 
 def _edit_checkpoint_config(path, edit):

@@ -349,6 +349,123 @@ def test_bilinear_resize_preserves_constants():
 
 
 # ---------------------------------------------------------------------------
+# layout: op outputs keep numpy's layout, leaves are C-contiguous
+
+def test_layout_ops_return_views():
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4)), requires_grad=True)
+    for y in (T.transpose(x, (2, 0, 1)), T.reshape(x, (6, 4)),
+              T.getitem(x, (slice(None), 1)), x[:, :, 1:3], x[None, ..., ::2]):
+        assert np.shares_memory(y.data, x.data)
+
+
+def test_conv2d_outputs_are_c_contiguous():
+    rng = np.random.default_rng(3)
+    x = T.transpose(Tensor(rng.normal(size=(2, 5, 5, 4))), (0, 3, 1, 2))  # channel-last view
+    for groups in (1, 4):  # the im2col GEMM and the depthwise shifted-add path
+        w = Tensor(rng.normal(size=(4, 4 // groups, 3, 3)))
+        for b in (Tensor(rng.normal(size=4)), None):
+            assert T.conv2d(x, w, b, padding=1, groups=groups).data.flags.c_contiguous
+
+
+def test_linear_is_one_tape_node():
+    rng = np.random.default_rng(4)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 3, 5), (5, 4), (4,)))
+    assert T.linear(x, w, b)._parents == (x, w, b)
+    assert T.linear(x, w)._parents == (x, w)
+
+
+def test_leaf_from_a_transposed_array_is_contiguous():
+    a = np.random.default_rng(5).normal(size=(3, 4)).T
+    x = Tensor(a)
+    assert x.data.flags.c_contiguous and np.array_equal(x.data, a)
+    probe = Tensor(np.random.default_rng(6).normal(size=(4, 3)))
+    assert grad_check(lambda x: T.tsum(T.tanh(x) * probe), [x]) < TOL
+
+
+def test_grad_check_rejects_an_input_it_cannot_perturb(monkeypatch):
+    # a non-contiguous input would be perturbed through a copy: every
+    # finite difference 0, and no error without the check
+    monkeypatch.setattr(Tensor, "astype", lambda t, dtype: T.transpose(
+        Tensor(t.data, requires_grad=True), (1, 0)))
+    with pytest.raises(GraphError, match="not contiguous"):
+        grad_check(lambda x: T.tsum(x * x), [Tensor(np.ones((3, 4)))])
+
+
+_VIEW_RNG = np.random.default_rng(21)
+
+
+def _const(*shape, low=None):
+    if low is None:
+        return Tensor(_VIEW_RNG.normal(size=shape))
+    return Tensor(_VIEW_RNG.uniform(low, 2.0, size=shape))
+
+
+_C5, _P5, _W53, _B3 = _const(5), _const(5, low=0.5), _const(5, 3), _const(3)
+_G5, _G3 = _const(5, low=0.5), _const(1, 3, 1, 1, low=0.5)
+_K, _KDW, _KT = _const(4, 3, 3, 3), _const(3, 1, 3, 3), _const(3, 2, 2, 2)
+
+# one-input forms of every tape op, applied to a (2, 3, 4, 5) input
+_VIEW_OPS = {
+    "add": lambda x: x + _C5,
+    "mul": lambda x: x * _C5,
+    "div": lambda x: x / _P5,
+    "texp": T.texp,
+    "tanh": T.tanh,
+    "sigmoid": T.sigmoid,
+    "gelu": T.gelu,
+    "softmax": lambda x: T.softmax(x, axis=1),
+    "tsum": lambda x: T.tsum(x, axis=(1, 3)),
+    "tmean": lambda x: T.tmean(x, axis=-1, keepdims=True),
+    "reshape": lambda x: T.reshape(x, (6, 20)),
+    "transpose": lambda x: T.transpose(x, (0, 2, 3, 1)),
+    "getitem": lambda x: x[:, 1:, ::2],
+    "getitem_array": lambda x: T.getitem(x, np.array([1, 0, 1])),
+    "concat": lambda x: T.concat([x, x], axis=1),
+    "pad_bottom_right": lambda x: T.pad_bottom_right(x, 1, 2),
+    "matmul": lambda x: T.matmul(x, _W53),
+    "linear": lambda x: T.linear(x, _W53, _B3),
+    "attention": lambda x: T.attention(x, x, x, 0.5),
+    "layer_norm": lambda x: T.layer_norm(x, _G5, _C5),
+    "layer_norm_channels": lambda x: T.layer_norm(x, _G3, _G3, axis=1),
+    "conv2d": lambda x: T.conv2d(x, _K, _C5[:4], padding=1),
+    "conv2d_strided": lambda x: T.conv2d(x, _K, stride=2, padding=1, dilation=2),
+    "conv2d_depthwise": lambda x: T.conv2d(x, _KDW, _B3, padding=1, groups=3),
+    "conv_transpose2d": lambda x: T.conv_transpose2d(x, _KT, _C5[:2], stride=2),
+    "bilinear_resize": lambda x: T.bilinear_resize(x, 7, 3),
+    "global_avg_pool": T.global_avg_pool,
+}
+
+
+def _transposed_view(shape):
+    """A leaf of the reversed shape seen through a transpose, and the map from
+    the leaf's gradient to the view's."""
+    axes = tuple(reversed(range(len(shape))))
+    leaf = Tensor(_VIEW_RNG.normal(size=shape[::-1]), requires_grad=True)
+    return leaf, T.transpose(leaf, axes), lambda g: g.transpose(axes)
+
+
+def _cropped_view(shape):
+    leaf = Tensor(_VIEW_RNG.normal(size=shape[:-1] + (shape[-1] + 3,)), requires_grad=True)
+    return leaf, leaf[..., 1:-2], lambda g: g[..., 1:-2]
+
+
+@pytest.mark.parametrize("view", [_transposed_view, _cropped_view])
+@pytest.mark.parametrize("name", sorted(_VIEW_OPS))
+def test_ops_on_views_match_contiguous_copies(name, view):
+    leaf, x, take = view((2, 3, 4, 5))
+    assert not x.data.flags.c_contiguous and np.shares_memory(x.data, leaf.data)
+    copy = Tensor(x.data.copy(), requires_grad=True)
+    outs = []
+    for inp in (x, copy):
+        y = _VIEW_OPS[name](inp)
+        probe = Tensor(np.random.default_rng(1).normal(size=y.shape))
+        T.tsum(y * probe).backward()
+        outs.append(y.data)
+    np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(take(leaf.grad), copy.grad, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # softmax properties
 
 @settings(max_examples=50, deadline=None)
