@@ -2,13 +2,14 @@
 
 import json
 import os
-import struct
+import shutil
 
 import numpy as np
 import pytest
 
 from mdtaf.cli import run
 from mdtaf.data import read_pnm
+from test_model import _edit_checkpoint_config
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +84,9 @@ def test_missing_checkpoint_exits_1(workspace, capsys):
 
 
 def test_checkpoint_of_another_shape_exits_1(workspace, tmp_path, capsys):
-    blob = open(workspace["ckpt"], "rb").read()
-    (n,) = struct.unpack("<Q", blob[8:16])
-    cfg = json.loads(blob[16:16 + n])
-    cfg["stage_channels"] = [64, 128, 320, 512]
-    new = json.dumps(cfg, sort_keys=True).encode("utf-8")
     ckpt = str(tmp_path / "wide.ckpt")
-    open(ckpt, "wb").write(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + n:])
+    shutil.copy(workspace["ckpt"], ckpt)
+    _edit_checkpoint_config(ckpt, lambda d: d.update(stage_channels=[64, 128, 320, 512]))
     image = os.path.join(workspace["data"], "sample_00000.pgm")
     out = str(tmp_path / "pred.pgm")
     assert run(["infer", "--checkpoint", ckpt, "--image", image, "--out", out]) == 1
