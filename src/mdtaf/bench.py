@@ -1,13 +1,15 @@
-"""Latency / FLOP benchmarking of the attention variants.
+"""Latency / FLOP / memory benchmarking of the attention variants.
 
 FLOP estimates are closed-form multiply-add counts (x2), which is what the
 O(N^2) vs O(N^2/R) complexity claim is about; wall time is a best-of-k
-forward measurement.
+forward measurement; peak memory is the tracemalloc peak of one more
+forward, run apart from the timed ones so that tracing does not slow them.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -48,9 +50,19 @@ def _time(fn, repeats: int = 3) -> float:
     return best * 1000.0
 
 
+def _peak_mb(fn) -> float:
+    """Peak of the memory ``fn`` allocates, in MB of 2^20 bytes, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
                     reduction: int = 8, window: int = 8, seed: int = 0):
-    """Return CSV-ready rows: {kind, N, C, R_or_w, flops_estimate, wall_ms}."""
+    """Return CSV-ready rows: {kind, N, C, R_or_w, flops_estimate, wall_ms, peak_mb}."""
     def esa(x, side, cfg, store):
         return efficient_self_attention(x, cfg, store, "a")
 
@@ -90,5 +102,6 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
                     forward(x, side, cfg, store)
 
             rows.append({"kind": kind, "N": n, "C": channels, "R_or_w": rknob,
-                         "flops_estimate": flops(n), "wall_ms": _time(fwd)})
+                         "flops_estimate": flops(n), "wall_ms": _time(fwd),
+                         "peak_mb": _peak_mb(fwd)})
     return rows

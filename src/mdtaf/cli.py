@@ -85,7 +85,7 @@ def _build_parser():
 
     sub.add_parser("verify", help="run the full invariant suite")
 
-    b = sub.add_parser("bench", help="attention latency / FLOP table (CSV)")
+    b = sub.add_parser("bench", help="attention latency / FLOP / memory table (CSV)")
     b.add_argument("--kinds", default="dense,esa,ssa,csa")
     b.add_argument("--sizes", default="1024,4096")
     b.add_argument("--channels", type=int, default=64)
@@ -149,10 +149,14 @@ def _model_cfg(args, in_channels: int) -> M.ModelConfig:
 
 
 def cmd_gen_data(args) -> int:
-    spec = D.SynthSpec(size=args.size, count=args.count, family=args.family,
-                       fg_mean=args.fg_mean, bg_mean=args.bg_mean,
-                       noise_sigma=args.noise_sigma, blur_radius=args.blur_radius,
-                       channels=args.channels, seed=args.seed)
+    try:
+        spec = D.SynthSpec(size=args.size, count=args.count, family=args.family,
+                           fg_mean=args.fg_mean, bg_mean=args.bg_mean,
+                           noise_sigma=args.noise_sigma, blur_radius=args.blur_radius,
+                           channels=args.channels, seed=args.seed)
+    except D.SpecError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     records = D.generate_dataset(spec, args.out)
     print(f"wrote {len(records)} samples to {args.out} (snr={spec.snr})")
     return 0
@@ -219,10 +223,10 @@ def cmd_bench(args) -> int:
     rows = bench_attention(kinds, sizes, channels=args.channels,
                            heads=args.heads, reduction=args.reduction,
                            window=args.window)
-    lines = ["kind,N,C,R_or_w,flops_estimate,wall_ms"]
+    lines = ["kind,N,C,R_or_w,flops_estimate,wall_ms,peak_mb"]
     for r in rows:
         lines.append(f"{r['kind']},{r['N']},{r['C']},{r['R_or_w']},"
-                     f"{r['flops_estimate']:.0f},{r['wall_ms']:.3f}")
+                     f"{r['flops_estimate']:.0f},{r['wall_ms']:.3f},{r['peak_mb']:.3f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

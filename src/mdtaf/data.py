@@ -18,10 +18,18 @@ import numpy as np
 from .tensor import bilinear_resize_array
 
 FG_FRACTION_BOUNDS = (0.05, 0.40)
+# Smallest image side per mask family: below it, a 300-draw probe accepted
+# fewer than half of the masks, and at sides 0-1 none can meet the bounds.
+MIN_SIZE = {"ellipses": 2, "blobs": 2, "lungs": 4}
+MAX_DRAWS = 1000  # mask draws per sample before giving up
 
 
 class DataError(Exception):
-    """Malformed or inconsistent dataset files."""
+    """Malformed or inconsistent dataset files, or a sample that cannot be drawn."""
+
+
+class SpecError(ValueError):
+    """A :class:`SynthSpec` asks for data its mask family cannot produce."""
 
 
 @dataclass
@@ -42,6 +50,14 @@ class SynthSpec:
     blur_radius: int = 1
     channels: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.family not in MIN_SIZE:
+            raise SpecError(f"unknown shape family {self.family!r}")
+        if self.size < MIN_SIZE[self.family]:
+            raise SpecError(f"size {self.size} is below {MIN_SIZE[self.family]}, the "
+                            f"smallest at which {self.family} masks meet the foreground "
+                            f"bounds {FG_FRACTION_BOUNDS}")
 
     @property
     def snr(self) -> Optional[float]:
@@ -175,14 +191,15 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
 
 def _render_sample(spec: SynthSpec, index: int) -> SegSample:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
-    family = _FAMILIES.get(spec.family)
-    if family is None:
-        raise ValueError(f"unknown shape family {spec.family!r}")
+    family = _FAMILIES[spec.family]
     lo, hi = FG_FRACTION_BOUNDS
-    while True:
+    for _ in range(MAX_DRAWS):
         mask = family(spec.size, rng)
         if lo <= mask.mean() <= hi:
             break
+    else:
+        raise DataError(f"sample {index}: no {spec.family} mask of size {spec.size} met "
+                        f"the foreground bounds {FG_FRACTION_BOUNDS} in {MAX_DRAWS} draws")
     base = spec.bg_mean + (spec.fg_mean - spec.bg_mean) * mask.astype(np.float64)
     base = _box_blur(base, spec.blur_radius)
     chans = []

@@ -191,21 +191,35 @@ def encoder_forward(image: Tensor, cfg: ModelConfig, params: ParamStore) -> list
 
 def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore,
                 out_hw: tuple | None = None) -> Tensor:
-    """Fuse the four stage features into logits at ``out_hw`` resolution."""
+    """Fuse the four stage features into logits at ``out_hw`` resolution.
+
+    SegFormer's all-MLP head (Xie et al. 2021, arXiv:2105.15203) projects each
+    stage to ``decoder_dim`` D, resizes it to stride 4, concatenates the four
+    maps and fuses them with one linear layer.  The fuse layer mixes channels
+    and the resize mixes pixels, so the two commute: here each stage meets
+    its own D rows W_i of the fuse weight before its resize, and the four
+    results are summed, ``gelu(sum_i resize_i(proj_i(f_i) @ W_i) + b)``.  That
+    equals the concat form in real arithmetic; the concat is never built, and
+    the fuse GEMMs of stages 2-4 run at their own, lower resolution.
+    """
     if len(features) != 4:
         raise ShapeError(f"decoder expects 4 stage features, got {len(features)}")
     h1, w1 = features[0].shape[2], features[0].shape[3]
     if out_hw is None:
         out_hw = (4 * h1, 4 * w1)
-    resized = []
+    d = cfg.decoder_dim
+    fuse_w = params["decoder.fuse.weight"]
+    fused = None
     for i, f in enumerate(features):
         t = linear(params, f"decoder.proj{i + 1}", map_to_tokens(f))
+        # the fuse bias rides on stage 1, which needs no resize
+        bias = params["decoder.fuse.bias"] if i == 0 else None
+        t = T.linear(t, fuse_w[i * d:(i + 1) * d], bias)
         m = tokens_to_map(t, f.shape[2], f.shape[3])
         if (f.shape[2], f.shape[3]) != (h1, w1):
             m = T.bilinear_resize(m, h1, w1)
-        resized.append(m)
-    fused = map_to_tokens(T.concat(resized, axis=1))
-    fused = T.gelu(linear(params, "decoder.fuse", fused))
+        fused = m if fused is None else fused + m
+    fused = T.gelu(map_to_tokens(fused))
     logits = linear(params, "decoder.head", fused)
     logits = tokens_to_map(logits, h1, w1)
     if (h1, w1) != tuple(out_hw):

@@ -39,6 +39,8 @@ class GraphError(RuntimeError):
 _GELU_C = 0.044715
 _GELU_S = float(np.sqrt(2.0 / np.pi))
 
+ATTENTION_TILE = 1024  # query rows per tile of the attention core
+
 _grad_enabled = True
 _nan_check = False
 
@@ -166,6 +168,11 @@ class Tensor:
         backward(self)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """True when an op on ``parents`` is recorded on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Wrap an op output without copying it; it keeps numpy's layout and may
     be a view of a parent's data."""
@@ -173,7 +180,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
         raise FloatingPointError("non-finite values produced by an operation")
     out = Tensor.__new__(Tensor)
     data = np.asarray(data)  # ufuncs on 0-d arrays return numpy scalars
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out._init(data, True, tuple(parents), vjp)
     else:
         out._init(data, False, (), None)
@@ -286,10 +293,6 @@ def div(a, b) -> Tensor:
 def texp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
-
-
-def tlog(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tsqrt(a: Tensor) -> Tensor:
@@ -475,23 +478,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     """``softmax(q @ k^T * scale + bias, axis=-1) @ v`` as one tape node.
 
     q: (..., N, d), k: (..., M, d), v: (..., M, dv); ``bias`` broadcasts
-    against the (..., N, M) scores.  The scores live in one buffer that is
-    scaled, biased and normalized in place, in the order of the composite
-    ``matmul * scale + bias -> softmax``, so both give the same floats.  The
-    VJP is the closed form through the kept probabilities P:
+    against the (..., N, M) scores.  Rows are independent, so the queries run
+    in tiles of ``ATTENTION_TILE`` rows (Rabe & Staats 2021,
+    arXiv:2112.05682), each writing its rows of one preallocated output.  A
+    tile's scores are scaled, biased and normalized in place, in the order
+    of the composite ``matmul * scale + bias -> softmax``, so both give the
+    same floats.  A bias is sliced by rows only where its row axis has
+    extent N.  Under ``no_grad`` every tile reuses one (..., tile, M) score
+    buffer, so the scores never take more than one tile of memory.  On the
+    tape each tile fills its rows of a full (..., N, M) probability buffer P,
+    which the VJP reads through the closed form
     ``dS = P*dP - P*rowsum(P*dP)`` with ``dP = g v^T``.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
     scale = q.data.dtype.type(scale)  # a float64 scale would promote f32 scores
-    p = np.matmul(q.data, k.data.swapaxes(-1, -2))
-    p *= scale
-    if bias is not None:
-        p += bias.data
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, v.data)
+    n, m = q.shape[-2], k.shape[-2]
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    dtype = np.result_type(q.data, k.data)
+    keep = _records(parents)
+    p = np.empty(lead + (n if keep else min(n, ATTENTION_TILE), m), dtype=dtype)
+    out = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (n, v.shape[-1]),
+                   dtype=np.result_type(dtype, v.data))
+    kt = k.data.swapaxes(-1, -2)
+    bias_rows = bias is not None and bias.ndim >= 2 and bias.shape[-2] == n
+    for r0 in range(0, n, ATTENTION_TILE):
+        rows = slice(r0, min(r0 + ATTENTION_TILE, n))
+        s = p[..., rows, :] if keep else p[..., :rows.stop - r0, :]
+        np.matmul(q.data[..., rows, :], kt, out=s)
+        s *= scale
+        if bias is not None:
+            s += bias.data[..., rows, :] if bias_rows else bias.data
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        np.matmul(s, v.data, out=out[..., rows, :])
 
     def vjp(g):
         ds = np.matmul(g, v.data.swapaxes(-1, -2))
@@ -508,7 +530,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         gv = _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), v.shape)
         return gq, gk, gv, gbias
 
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
     return _node(out, parents, vjp)
 
 

@@ -109,6 +109,13 @@ def check_gradients_ops(seed=0):
         worst["linear"],
         grad_check(lambda x, w, b: T.tsum(T.gelu(T.linear(x, w, b))), xw + [_rand(rng, 4)]),
         grad_check(lambda x, w: T.tsum(T.gelu(T.linear(x, w))), xw))
+    # attention over more than one query tile, the last one ragged
+    n = T.ATTENTION_TILE + 5
+    probe_tiles = _rand(rng, 1, n, 2)
+    worst["attention"] = max(
+        worst["attention"],
+        grad_check(lambda q, k, v: T.tsum(T.attention(q, k, v, 0.5) * probe_tiles),
+                   [_rand(rng, 1, n, 2), _rand(rng, 1, 7, 2), _rand(rng, 1, 7, 2)]))
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     detail = ", ".join(f"{k}={v:.2e}" for k, v in sorted(worst.items()))
     return not bad, detail

@@ -156,10 +156,29 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert '"seed": 42' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_gen_data_rejects_a_degenerate_size(tmp_path, capsys, size):
+    assert run(["gen-data", "--out", str(tmp_path / "ds"), "--size", size]) == 2
+    assert f"size {size}" in capsys.readouterr().err
+
+
+def test_gen_data_exits_1_when_no_mask_fits(tmp_path, monkeypatch):
+    from mdtaf import data as D
+    monkeypatch.setitem(D._FAMILIES, "blobs",
+                        lambda size, rng: np.ones((size, size), dtype=bool))
+    assert run(["gen-data", "--out", str(tmp_path / "ds"), "--size", "8",
+                "--family", "blobs"]) == 1
+
+
 def test_bench_emits_rows(capsys):
     assert run(["bench", "--kinds", "esa", "--sizes", "256"]) == 0
-    out = capsys.readouterr().out
-    assert any(line.startswith("esa,256,") for line in out.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "kind,N,C,R_or_w,flops_estimate,wall_ms,peak_mb"
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["kind"] == "esa" and row["N"] == "256"
+    assert float(row["wall_ms"]) > 0.0
+    # the two heads' 256 x 32 f32 scores alone hold 64 KiB
+    assert 2 * 256 * 32 * 4 / 2**20 < float(row["peak_mb"]) < 16.0
 
 
 def test_resolved_config_is_printed(capsys):

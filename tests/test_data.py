@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdtaf.data import (FG_FRACTION_BOUNDS, DataError, SynthSpec,
+from mdtaf import data as D
+from mdtaf.data import (FG_FRACTION_BOUNDS, DataError, SpecError, SynthSpec,
                         generate_dataset, generate_samples, load_dataset,
                         load_image, read_pnm, write_pnm)
 
@@ -125,6 +126,29 @@ def test_snr_formula():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         generate_samples(SynthSpec(family="squares", count=1))
+
+
+@pytest.mark.parametrize("family", ["ellipses", "blobs", "lungs"])
+def test_sizes_below_the_family_minimum_are_rejected(family):
+    for size in range(D.MIN_SIZE[family]):
+        with pytest.raises(SpecError, match=f"size {size}"):
+            SynthSpec(size=size, family=family)
+    # the smallest accepted size draws its masks within the limit
+    assert len(generate_samples(SynthSpec(size=D.MIN_SIZE[family], count=3,
+                                          family=family))) == 3
+
+
+def test_mask_draws_are_bounded(monkeypatch):
+    draws = []
+
+    def never_in_bounds(size, rng):
+        draws.append(size)
+        return np.zeros((size, size), dtype=bool)
+
+    monkeypatch.setitem(D._FAMILIES, "ellipses", never_in_bounds)
+    with pytest.raises(DataError, match=f"{D.MAX_DRAWS} draws"):
+        D._render_sample(SynthSpec(size=8), 0)
+    assert len(draws) == D.MAX_DRAWS
 
 
 def test_rgb_spec_produces_three_channels():

@@ -14,8 +14,10 @@ from mdtaf.model import (CheckpointCorruptError, CheckpointError,
                          CheckpointMagicError, CheckpointShapeError,
                          CheckpointVersionError, ModelConfig, default_config,
                          desk_config, encoder_forward, init_params,
-                         load_checkpoint, model_forward, pad_to_multiple,
-                         save_checkpoint, tiny_config)
+                         load_checkpoint, mlp_decoder, model_forward,
+                         pad_to_multiple, save_checkpoint, tiny_config)
+from mdtaf import tensor as T
+from mdtaf.layers import linear, map_to_tokens, tokens_to_map
 from mdtaf.params import ParamStore
 from mdtaf.tensor import Tensor, no_grad
 
@@ -70,6 +72,42 @@ def test_batch_independence(desk):
         for i in range(4):
             solo = model_forward(Tensor(batch[i:i + 1]), cfg, params).data
             assert np.abs(together[i:i + 1] - solo).max() < 1e-6
+
+
+def _concat_fuse_decoder(features, params, h, w):
+    # SegFormer's head as written: resize every projection, concat, fuse
+    h1, w1 = features[0].shape[2:]
+    maps = []
+    for i, f in enumerate(features):
+        t = linear(params, f"decoder.proj{i + 1}", map_to_tokens(f))
+        m = tokens_to_map(t, f.shape[2], f.shape[3])
+        maps.append(m if m.shape[2:] == (h1, w1) else T.bilinear_resize(m, h1, w1))
+    fused = T.gelu(linear(params, "decoder.fuse", map_to_tokens(T.concat(maps, axis=1))))
+    logits = tokens_to_map(linear(params, "decoder.head", fused), h1, w1)
+    return T.bilinear_resize(logits, h, w)
+
+
+def test_decoder_equals_concat_then_fuse():
+    cfg = tiny_config()
+    rng = np.random.default_rng(9)
+    params = init_params(cfg, seed=0).astype(np.float64)
+    for name, t in params.items():
+        t.data[:] = rng.normal(scale=0.3, size=t.shape)  # nonzero biases too
+    with no_grad():
+        features = encoder_forward(Tensor(rng.normal(size=(2, 1, 32, 32))), cfg, params)
+    probe = Tensor(rng.normal(size=(2, 1, 32, 32)))
+    decoder = [name for name in params.names() if name.startswith("decoder.")]
+    results = []
+    for run in (lambda: mlp_decoder(features, cfg, params, out_hw=(32, 32)),
+                lambda: _concat_fuse_decoder(features, params, 32, 32)):
+        for name in decoder:
+            params[name].requires_grad = True
+            params[name].zero_grad()
+        logits = run()
+        T.tsum(logits * probe).backward()
+        results.append([logits.data] + [params[name].grad for name in decoder])
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_config_roundtrips_through_dict():
