@@ -40,6 +40,9 @@ class AttentionConfig:
     r2: int = 8
 
     def __post_init__(self):
+        for name in ("heads", "reduction", "window", "r1", "r2"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} is not positive")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.channels % self.r1 or self.channels % self.r2:

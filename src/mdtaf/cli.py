@@ -25,7 +25,7 @@ from . import model as M
 from .train import (TrainConfig, evaluate_checkpoint, predict_mask,
                     train as run_training)
 from .bench import bench_attention
-from .tensor import Tensor, no_grad
+from .tensor import ConfigError, Tensor, no_grad
 
 
 def _default_seed() -> int:
@@ -149,14 +149,10 @@ def _model_cfg(args, in_channels: int) -> M.ModelConfig:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        spec = D.SynthSpec(size=args.size, count=args.count, family=args.family,
-                           fg_mean=args.fg_mean, bg_mean=args.bg_mean,
-                           noise_sigma=args.noise_sigma, blur_radius=args.blur_radius,
-                           channels=args.channels, seed=args.seed)
-    except D.SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    spec = D.SynthSpec(size=args.size, count=args.count, family=args.family,
+                       fg_mean=args.fg_mean, bg_mean=args.bg_mean,
+                       noise_sigma=args.noise_sigma, blur_radius=args.blur_radius,
+                       channels=args.channels, seed=args.seed)
     records = D.generate_dataset(spec, args.out)
     print(f"wrote {len(records)} samples to {args.out} (snr={spec.snr})")
     return 0
@@ -260,7 +256,8 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (D.DataError, M.CheckpointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        # a flag value that cannot work is a usage error
+        return 2 if isinstance(e, (D.SpecError, ConfigError)) else 1
 
 
 def main():

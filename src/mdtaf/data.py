@@ -58,6 +58,8 @@ class SynthSpec:
             raise SpecError(f"size {self.size} is below {MIN_SIZE[self.family]}, the "
                             f"smallest at which {self.family} masks meet the foreground "
                             f"bounds {FG_FRACTION_BOUNDS}")
+        if self.channels not in (1, 3):
+            raise SpecError(f"channels {self.channels} is not 1 (PGM) or 3 (PPM)")
 
     @property
     def snr(self) -> Optional[float]:

@@ -106,9 +106,9 @@ def hourglass2d(v: Tensor, params: ParamStore, prefix: str) -> Tensor:
     d1 = T.gelu(channel_norm(params, f"{prefix}.down1_norm", d1))
     d2 = conv(params, f"{prefix}.down2", d1, stride=2, padding=1)
     d2 = T.gelu(channel_norm(params, f"{prefix}.down2_norm", d2))
-    u1 = deconv(params, f"{prefix}.up1", d2, stride=2)
+    u1 = deconv(params, f"{prefix}.up1", d2)
     u1 = T.gelu(channel_norm(params, f"{prefix}.up1_norm", u1)) + d1
-    return deconv(params, f"{prefix}.up2", u1, stride=2)
+    return deconv(params, f"{prefix}.up2", u1)
 
 
 def attention_weights(x: Tensor, cfg: PatchEmbedConfig, params: ParamStore,

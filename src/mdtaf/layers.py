@@ -31,10 +31,8 @@ def init_deconv(store: ParamStore, init: Initializer, name: str,
     store.add(f"{name}.bias", init.zeros((cout,)))
 
 
-def deconv(params: ParamStore, name: str, x: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    return T.conv_transpose2d(x, params[f"{name}.weight"], params[f"{name}.bias"],
-                              stride=stride, padding=padding)
+def deconv(params: ParamStore, name: str, x: Tensor) -> Tensor:
+    return T.conv_transpose2d(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
 
 def init_linear(store: ParamStore, init: Initializer, name: str,

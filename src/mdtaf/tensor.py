@@ -29,7 +29,7 @@ class ShapeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An operation was configured inconsistently (e.g. empty conv output)."""
+    """A setting that cannot work (an empty conv output, a batch size below 1)."""
 
 
 class GraphError(RuntimeError):
@@ -705,31 +705,31 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     return _node(out, parents, vjp)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                     stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed 2D convolution. x: B,Cin,H,W; w: Cin,Cout,Kh,Kw."""
+def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Transposed 2D convolution with stride = kernel and no padding.
+    x: B,Cin,H,W; w: Cin,Cout,Kh,Kw; output B,Cout,H*Kh,W*Kw.  The windows do
+    not overlap, so it is one GEMM and a depth-to-space copy that keeps
+    channels innermost (sub-pixel convolution, Shi et al. 2016,
+    arXiv:1609.05158)."""
     bsz, cin, h, wdt = x.shape
     cin_w, cout, kh, kw = w.shape
     if cin_w != cin:
         raise ShapeError(f"conv_transpose2d expects {cin_w} in-channels, got {cin}")
-    ho = (h - 1) * stride - 2 * padding + kh
-    wo = (wdt - 1) * stride - 2 * padding + kw
-    if ho < 1 or wo < 1:
-        raise ConfigError(f"conv_transpose2d output extent {ho}x{wo} is empty")
-
-    x_m = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(bsz * h * wdt, cin)
+    rows = bsz * h * wdt
+    x_m = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(rows, cin)
     w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
-    gcols = (x_m @ w_m).reshape(bsz, h, wdt, kh, kw, cout)
-    out = _col2im(gcols, (bsz, cout, ho, wo), stride, padding, dil=1)
+    out_m = (x_m @ w_m).reshape(bsz, h, wdt, kh, kw, cout)
     if b is not None:
-        out = out + b.data.reshape(1, cout, 1, 1)
-
+        out_m += b.data
+    out = np.ascontiguousarray(out_m.transpose(0, 1, 3, 2, 4, 5))
+    out = np.ascontiguousarray(out.reshape(bsz, h * kh, wdt * kw, cout).transpose(0, 3, 1, 2))
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        win_m = _im2col(g, kh, kw, stride, padding, 1, h, wdt).reshape(bsz * h * wdt, -1)
-        gx = (win_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
-        gw = (x_m.T @ win_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
+        g_m = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz, h, kh, wdt, kw, cout)
+        g_m = np.ascontiguousarray(g_m.transpose(0, 1, 3, 2, 4, 5)).reshape(rows, kh * kw * cout)
+        gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
+        gw = (x_m.T @ g_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
         if b is None:
             return np.ascontiguousarray(gx), gw
         return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
@@ -745,24 +745,19 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # resizing
 
-def _resize_axis_weights(n_in: int, n_out: int, dtype):
-    """align_corners=False source indices and lerp weights for one axis."""
-    scale = n_in / n_out
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) * scale - 0.5
-    i0 = np.floor(src).astype(np.int64)
-    frac = src - i0
-    i0c = np.clip(i0, 0, n_in - 1)
-    i1c = np.clip(i0 + 1, 0, n_in - 1)
-    return i0c, i1c, frac.astype(dtype)
-
-
 def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """(n_out, n_in) bilinear interpolation matrix of one axis."""
-    i0, i1, frac = _resize_axis_weights(n_in, n_out, dtype)
+    """(n_out, n_in) bilinear interpolation matrix of one axis: each row
+    lerps the two inputs beside its align_corners=False source point."""
+    if n_out < 1:
+        raise ConfigError(f"bilinear resize target extent {n_out} is not positive")
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = (src - i0).astype(dtype)
     m = np.zeros((n_out, n_in), dtype=dtype)
     rows = np.arange(n_out)
-    m[rows, i0] = 1 - frac
-    m[rows, i1] += frac  # i0 == i1 at a clamped border: the weights sum to 1
+    m[rows, np.clip(i0, 0, n_in - 1)] = 1 - frac
+    # at a clamped border both columns are one: its weights still sum to 1
+    m[rows, np.clip(i0 + 1, 0, n_in - 1)] += frac
     return m
 
 
@@ -775,8 +770,6 @@ def bilinear_resize_array(x: np.ndarray, h2: int, w2: int) -> np.ndarray:
 
 def bilinear_resize(x: Tensor, h2: int, w2: int) -> Tensor:
     """Differentiable bilinear resize of B,C,H,W to B,C,h2,w2."""
-    if h2 < 1 or w2 < 1:
-        raise ConfigError(f"bilinear_resize target {h2}x{w2} is invalid")
     rh = _resize_matrix(x.shape[-2], h2, x.data.dtype)
     rw = _resize_matrix(x.shape[-1], w2, x.data.dtype)
     out = rh @ x.data @ rw.T

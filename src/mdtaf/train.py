@@ -12,7 +12,7 @@ import numpy as np
 from .attention import ALPHA_MIN
 from .model import ModelConfig, model_forward, save_checkpoint
 from .params import ParamStore
-from .tensor import ShapeError, Tensor, no_grad, sigmoid_array
+from .tensor import ConfigError, ShapeError, Tensor, no_grad, sigmoid_array
 from .tensor import _node  # loss primitive shares the tape machinery
 
 DICE_EPS = 1e-6
@@ -137,9 +137,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr_min > self.lr_max:
-            raise ValueError("lr_min must be <= lr_max")
+            raise ConfigError("lr_min must be <= lr_max")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size {self.batch_size} is not positive")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -218,6 +220,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
 def evaluate(model_cfg: ModelConfig, params: ParamStore, dataset: Sequence,
              batch_size: int = 8) -> Metrics:
     """Mean per-sample metrics over the dataset; parameters untouched."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size {batch_size} is not positive")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     accs, dices, losses = [], [], []

@@ -42,6 +42,14 @@ def test_window_roundtrip_is_bit_exact(w, hm, wm, c, seed):
     assert np.array_equal(x.data, y.data)
 
 
+@pytest.mark.parametrize("field", ["heads", "reduction", "window", "r1", "r2"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_non_positive_counts_are_rejected(field, value):
+    kwargs = {"channels": 64, "heads": 2, field: value}
+    with pytest.raises(ConfigError, match=f"{field} {value}"):
+        AttentionConfig(**kwargs)
+
+
 def test_window_partition_rejects_nondivisible():
     x = Tensor(np.zeros((1, 6, 6, 2)))
     with pytest.raises(ConfigError):

@@ -170,6 +170,39 @@ def test_gen_data_exits_1_when_no_mask_fits(tmp_path, monkeypatch):
                 "--family", "blobs"]) == 1
 
 
+def test_non_positive_batch_size_exits_2(workspace, tmp_path, capsys):
+    # 0 before -1: a loop that ignores the size fails fast at 0 but spins at -1
+    for command in (["train", "--steps", "1", "--checkpoint", str(tmp_path / "m.ckpt")],
+                    ["eval", "--checkpoint", workspace["ckpt"]]):
+        for size in ("0", "-1"):
+            assert run(command + ["--data", workspace["data"], "--batch-size", size]) == 2
+            assert f"batch size {size}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_positive_resize_exits_2(workspace, tmp_path, capsys, command, size):
+    ckpt = workspace["ckpt"] if command == "eval" else str(tmp_path / "m.ckpt")
+    assert run([command, "--data", workspace["data"], "--checkpoint", ckpt,
+                "--resize", size]) == 2
+    assert f"extent {size}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channels", ["0", "2"])
+def test_gen_data_rejects_channels_a_pnm_cannot_hold(tmp_path, capsys, channels):
+    out = tmp_path / "ds"
+    assert run(["gen-data", "--out", str(out), "--channels", channels]) == 2
+    assert f"channels {channels}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["heads", "reduction", "window"])
+def test_bench_rejects_a_zero_count(capsys, flag):
+    assert run(["bench", "--kinds", "esa,ssa", "--sizes", "64", f"--{flag}", "0"]) == 2
+    assert f"{flag} 0" in capsys.readouterr().err
+
+
 def test_bench_emits_rows(capsys):
     assert run(["bench", "--kinds", "esa", "--sizes", "256"]) == 0
     lines = capsys.readouterr().out.splitlines()

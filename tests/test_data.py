@@ -123,6 +123,12 @@ def test_snr_formula():
     assert SynthSpec(noise_sigma=0.0).snr is None
 
 
+@pytest.mark.parametrize("channels", [0, 2, 4])
+def test_channels_a_pnm_cannot_hold_are_rejected(channels):
+    with pytest.raises(SpecError, match=f"channels {channels}"):
+        SynthSpec(channels=channels)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         generate_samples(SynthSpec(family="squares", count=1))

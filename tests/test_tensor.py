@@ -334,24 +334,55 @@ def test_grad_conv2d(stride, pad, dil, groups):
 def test_conv_transpose2d_inverts_strided_downsample_shape():
     x = _t(1, 3, 4, 4)
     w = _t(3, 5, 2, 2)
-    y = T.conv_transpose2d(x, w, stride=2)
+    y = T.conv_transpose2d(x, w)
     assert y.shape == (1, 5, 8, 8)
 
 
 def test_grad_conv_transpose2d():
     x, w, b = _t(1, 3, 4, 4), _t(3, 2, 2, 2), _t(2)
     assert grad_check(
-        lambda x, w, b: T.tsum(T.tanh(T.conv_transpose2d(x, w, b, stride=2))),
+        lambda x, w, b: T.tsum(T.tanh(T.conv_transpose2d(x, w, b))),
         [x, w, b]) < TOL
+
+
+def _conv_transpose_oracle(x, w, b):
+    # each input pixel paints its own kh x kw output window (stride = kernel)
+    bs, cin, h, wd = x.shape
+    _, cout, kh, kw = w.shape
+    out = np.zeros((bs, cout, h * kh, wd * kw))
+    for n in range(bs):
+        for co in range(cout):
+            for i in range(h):
+                for j in range(wd):
+                    for a in range(kh):
+                        for c in range(kw):
+                            acc = 0.0
+                            for ci in range(cin):
+                                acc += x[n, ci, i, j] * w[ci, co, a, c]
+                            out[n, co, i * kh + a, j * kw + c] = acc
+    return out if b is None else out + b.reshape(1, cout, 1, 1)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_conv_transpose2d_matches_loop_oracle(bias):
+    rng = np.random.default_rng(11)
+    x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(3, 4, 2, 3))
+    b = rng.normal(size=(4,)) if bias else None
+    got = T.conv_transpose2d(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
+    assert got.shape == (2, 4, 8, 15)
+    assert np.abs(got - _conv_transpose_oracle(x, w, b)).max() < 1e-10
+    probe = Tensor(rng.normal(size=got.shape))
+    inputs = [Tensor(x), Tensor(w)] + ([] if b is None else [Tensor(b)])
+    assert grad_check(lambda *a: T.tsum(T.conv_transpose2d(*a) * probe), inputs) < TOL
 
 
 def test_conv_transpose_adjoint_of_conv():
     # <conv(x), y> == <x, conv_transpose(y)> for bias-free matched kernels
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(1, 2, 6, 6))
-    w = rng.normal(size=(3, 2, 3, 3))  # conv layout (cout, cin, kh, kw)
+    x = rng.normal(size=(1, 2, 8, 8))
+    w = rng.normal(size=(3, 2, 2, 2))  # conv layout (cout, cin, kh, kw)
     y = rng.normal(size=(1, 3, 4, 4))
-    cx = T.conv2d(Tensor(x), Tensor(w)).data
+    cx = T.conv2d(Tensor(x), Tensor(w), stride=2).data
     # the same array read in deconv layout (cin, cout, kh, kw) is the adjoint
     ty = T.conv_transpose2d(Tensor(y), Tensor(w)).data
     assert abs(float((cx * y).sum()) - float((x * ty).sum())) < 1e-9
@@ -487,7 +518,7 @@ _VIEW_OPS = {
     "conv2d": lambda x: T.conv2d(x, _K, _C5[:4], padding=1),
     "conv2d_strided": lambda x: T.conv2d(x, _K, stride=2, padding=1, dilation=2),
     "conv2d_depthwise": lambda x: T.conv2d(x, _KDW, _B3, padding=1, groups=3),
-    "conv_transpose2d": lambda x: T.conv_transpose2d(x, _KT, _C5[:2], stride=2),
+    "conv_transpose2d": lambda x: T.conv_transpose2d(x, _KT, _C5[:2]),
     "bilinear_resize": lambda x: T.bilinear_resize(x, 7, 3),
     "global_avg_pool": T.global_avg_pool,
 }

@@ -15,7 +15,7 @@ from mdtaf.data import SegSample
 from mdtaf.gradcheck import grad_check
 from mdtaf.model import tiny_config
 from mdtaf.params import ParamStore
-from mdtaf.tensor import ShapeError, Tensor
+from mdtaf.tensor import ConfigError, ShapeError, Tensor
 from mdtaf.train import (Metrics, OptimizerState, TrainConfig, TrainingDiverged,
                          accuracy, adamw_step, bce_loss, cosine_lr, dice_score,
                          evaluate, predict_mask, train)
@@ -217,6 +217,22 @@ def test_train_is_seed_deterministic():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train(tiny_config(), TrainConfig(max_steps=1), [])
+
+
+@pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": 0},
+                                    {"lr_min": 1e-3, "lr_max": 1e-4}])
+def test_train_config_rejects_settings_that_cannot_work(kwargs):
+    # a negative batch size used to make the training loop draw no batch, forever
+    with pytest.raises(ConfigError):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_non_positive_batch_size(batch_size):
+    cfg = tiny_config()
+    from mdtaf.model import init_params
+    with pytest.raises(ConfigError, match="batch size"):
+        evaluate(cfg, init_params(cfg, seed=0), _toy_dataset(n=3), batch_size=batch_size)
 
 
 def test_train_raises_on_divergence():
