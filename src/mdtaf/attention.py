@@ -40,7 +40,7 @@ class AttentionConfig:
     r2: int = 8
 
     def __post_init__(self):
-        for name in ("heads", "reduction", "window", "r1", "r2"):
+        for name in ("channels", "heads", "reduction", "window", "r1", "r2"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} {getattr(self, name)} is not positive")
         if self.channels % self.heads:

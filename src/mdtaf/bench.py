@@ -17,7 +17,7 @@ from .attention import (AttentionConfig, channel_self_attention,
                         efficient_self_attention, init_csa, init_esa,
                         init_ssa, spatial_self_attention)
 from .params import Initializer, ParamStore
-from .tensor import Tensor, no_grad
+from .tensor import ConfigError, Tensor, no_grad
 
 
 def flops_dense(n: int, c: int) -> float:
@@ -81,6 +81,9 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
         "ssa": (init_ssa, ssa, lambda n: flops_ssa(n, channels, window), window, 1, window),
         "csa": (init_csa, csa, lambda n: flops_csa(n, channels, heads), heads, 1, 1),
     }
+    for n in sizes:
+        if n < 1:
+            raise ConfigError(f"size {n} is not positive")
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:

@@ -60,6 +60,12 @@ class SynthSpec:
                             f"bounds {FG_FRACTION_BOUNDS}")
         if self.channels not in (1, 3):
             raise SpecError(f"channels {self.channels} is not 1 (PGM) or 3 (PPM)")
+        if self.count < 1:
+            raise SpecError(f"count {self.count} is not positive")
+        if not self.noise_sigma >= 0:
+            raise SpecError(f"noise_sigma {self.noise_sigma} is negative")
+        if self.blur_radius < 0:
+            raise SpecError(f"blur_radius {self.blur_radius} is negative")
 
     @property
     def snr(self) -> Optional[float]:

@@ -11,6 +11,14 @@ place.  Every differentiable operation records its parents and a
 vector-Jacobian closure; ``backward`` replays the tape in reverse creation
 order, which keeps gradient accumulation deterministic.
 
+``conv2d`` and ``bilinear_resize`` keep their input's memory order, forward
+and VJP.  A B,C,H,W input whose channel axis is innermost in memory (the
+``tokens_to_map`` view of a token sequence) is computed channel-last and gives
+a channel-last view, with no transposing copy; any other input gives a
+compact B,C,H,W array.  The layout is read from the input's strides.
+``softmax`` flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so
+no later GEMM reads a subnormal float, which runs many times slower.
+
 Layout conventions: image-like data is B x C x H x W, token sequences are
 B x N x C.
 """
@@ -356,6 +364,8 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     out = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    # a subnormal probability would slow every later GEMM that reads it
+    out[out < np.finfo(out.dtype).tiny] = 0
 
     def vjp(g):
         gs = g * out
@@ -592,13 +602,31 @@ def _conv_out_extent(h: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (h + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
+def _channel_last(a: np.ndarray) -> bool:
+    """True for a B,C,H,W array whose channels are innermost in memory, such
+    as a ``tokens_to_map`` view."""
+    return a.ndim == 4 and a.strides[1] < a.strides[3]
+
+
+def _zeros_map(shape: tuple, dtype, channel_last: bool) -> np.ndarray:
+    """Zeroed B,C,H,W array, stored channel-last when ``channel_last``."""
+    if not channel_last:
+        return np.zeros(shape, dtype)
+    b, c, h, w = shape
+    return np.zeros((b, h, w, c), dtype).transpose(0, 3, 1, 2)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
             ho: int, wo: int) -> np.ndarray:
-    """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input, one slice
-    copy per kernel tap."""
-    b, c, h, w = x.shape
+    """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input.  A 1x1
+    unpadded kernel's windows are the input's pixels, a free view of a
+    channel-last input; any other kernel copies one slice per tap."""
+    xl = x.transpose(0, 2, 3, 1)
+    b, h, w, c = xl.shape
+    if kh == kw == 1 and pad == 0:
+        return xl[:, ::stride, ::stride].reshape(b, ho, wo, 1, 1, c)
     xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    xp[:, pad:pad + h, pad:pad + w] = xl
     cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -610,15 +638,18 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
 def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,
             dil: int) -> np.ndarray:
     """Scatter-add channel-last window gradients (B,Ho,Wo,kh,kw,C) back onto
-    a B,C,H,W input: the adjoint of :func:`_im2col`."""
+    a B,C,H,W input, returned as a view of a channel-last buffer: the adjoint
+    of :func:`_im2col`."""
     b, c, h, w = xshape
     _, ho, wo, kh, kw, _ = gcols.shape
+    if kh == kw == 1 and pad == 0 and stride == 1:
+        return gcols.reshape(b, h, w, c).transpose(0, 3, 1, 2)
     gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
     for i in range(kh):
         for j in range(kw):
             gx[:, i * dil: i * dil + stride * ho: stride,
                j * dil: j * dil + stride * wo: stride] += gcols[:, :, :, i, j]
-    return np.ascontiguousarray(gx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
+    return gx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
@@ -626,9 +657,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     """2D cross-correlation. x: B,Cin,H,W; w: Cout,Cin/groups,Kh,Kw.
 
     Stride-1 depthwise convs run as kh*kw shifted multiply-adds; every other
-    conv is one (grouped) GEMM over channel-last im2col windows.  Both VJPs
-    are closures of this function, so a profiler that names a VJP by its
-    ``__qualname__`` charges both to ``conv2d``.
+    conv is one (grouped) GEMM over channel-last im2col windows.  The output
+    and the input gradient keep the input's memory order: a channel-last
+    input gives channel-last views, anything else compact B,C,H,W arrays.
+    Both VJPs are closures of this function, so a profiler that names a VJP
+    by its ``__qualname__`` charges both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
     cout, cin_g, kh, kw = w.shape
@@ -641,6 +674,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
     parents = (x, w) if b is None else (x, w, b)
+    cl = _channel_last(x.data)
 
     if groups == cin == cout and stride == 1:
         # Rows of the padded input are laid end to end, so each tap is one
@@ -648,28 +682,51 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         # garbage and are cropped.  One spare row keeps the last tap in bounds.
         hp, wp = h + 2 * padding, wdt + 2 * padding
         n = ho * wp
-        xp = np.zeros((bsz, cin, hp + 1, wp), dtype=x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
-        xp = xp.reshape(bsz, cin, -1)
-        wk = w.data.reshape(cout, kh * kw, 1)
         taps = [i * dilation * wp + j * dilation for i in range(kh) for j in range(kw)]
-        acc = np.zeros((bsz, cout, n), dtype=xp.dtype)
+        wk = w.data.reshape(cout, kh * kw)
+        if cl:
+            # a pixel is C floats: each tap's weights are tiled along a
+            # padded row, so a multiply-add runs over whole rows
+            wt = np.tile(wk.T, (1, wp))
+
+            def window(m, off):
+                return m.transpose(0, 2, 3, 1).reshape(bsz, -1)[:, off * cin:(off + n) * cin] \
+                    .reshape(bsz, ho, wp * cin)
+
+            def per_channel(a, c):
+                return np.einsum("bhk,bhk->k", a, c).reshape(wp, cin).sum(axis=0)
+        else:
+            wt = wk.T[:, :, None]
+
+            def window(m, off):
+                return m.reshape(bsz, cin, -1)[:, :, off:off + n]
+
+            def per_channel(a, c):
+                return np.einsum("bcn,bcn->c", a, c)
+
+        xp = _zeros_map((bsz, cin, hp + 1, wp), x.data.dtype, cl)
+        xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
+        acc = _zeros_map((bsz, cout, ho, wp), x.data.dtype, cl)
+        rows = window(acc, 0)
         for t, off in enumerate(taps):
-            acc += xp[:, :, off:off + n] * wk[:, t]
-        out = acc.reshape(bsz, cout, ho, wp)[..., :wo]
-        # the crop is a strided view: return a compact B,C,H,W array
-        out = np.ascontiguousarray(out) if b is None else out + b.data.reshape(1, cout, 1, 1)
+            rows += window(xp, off) * wt[t]
+        out = acc[..., :wo]
+        if b is not None:
+            out = out + b.data.reshape(1, cout, 1, 1)
+        elif not cl:
+            out = np.ascontiguousarray(out)
 
         def vjp_depthwise(g):
-            gp = np.zeros((bsz, cout, ho, wp), dtype=g.dtype)
+            gp = _zeros_map(acc.shape, g.dtype, cl)
             gp[..., :wo] = g
-            gp = gp.reshape(bsz, cout, n)
-            gxp = np.zeros_like(xp)
+            grows = window(gp, 0)
+            gxp = _zeros_map(xp.shape, g.dtype, cl)
             gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
             for t, off in enumerate(taps):
-                gxp[:, :, off:off + n] += gp * wk[:, t]
-                gw[:, t] = np.einsum("bcn,bcn->c", gp, xp[:, :, off:off + n])
-            gx = gxp.reshape(bsz, cin, hp + 1, wp)[:, :, padding:padding + h, padding:padding + wdt]
+                gx_rows = window(gxp, off)
+                gx_rows += grows * wt[t]
+                gw[:, t] = per_channel(grows, window(xp, off))
+            gx = gxp[:, :, padding:padding + h, padding:padding + wdt]
             if b is None:
                 return gx, gw.reshape(w.shape)
             return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
@@ -687,8 +744,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     out_m = np.matmul(cols_m, w_m.swapaxes(1, 2)).transpose(1, 0, 2).reshape(rows, cout)
     if b is not None:
         out_m += b.data
-    # compact B,C,H,W: downstream ops run faster on it than on a channel-last view
-    out = np.ascontiguousarray(out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2))
+    out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
+    if not cl:
+        out = np.ascontiguousarray(out)
 
     def vjp(g):
         g_rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(rows, cout)
@@ -698,6 +756,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         gcols = np.matmul(g_m, w_m).reshape(groups, rows, kh * kw, cg).transpose(1, 2, 0, 3)
         gcols = gcols.reshape(bsz, ho, wo, kh, kw, cin)
         gx = _col2im(gcols, x.shape, stride, padding, dilation)
+        if not cl:
+            gx = np.ascontiguousarray(gx)
         if b is None:
             return gx, gw
         return gx, gw, g_rows.sum(axis=0)
@@ -769,12 +829,20 @@ def bilinear_resize_array(x: np.ndarray, h2: int, w2: int) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, h2: int, w2: int) -> Tensor:
-    """Differentiable bilinear resize of B,C,H,W to B,C,h2,w2."""
+    """Differentiable bilinear resize of the last two axes, B,C,H,W to
+    B,C,h2,w2.  A channel-last map is resized over its channel-last rows and
+    gives a channel-last view, with the same H-then-W order of contractions."""
     rh = _resize_matrix(x.shape[-2], h2, x.data.dtype)
     rw = _resize_matrix(x.shape[-1], w2, x.data.dtype)
-    out = rh @ x.data @ rw.T
+    if not _channel_last(x.data):
+        out = rh @ x.data @ rw.T
+        return _node(out, (x,), lambda g: (rh.T @ g @ rw,))
+    b, c, h, w = x.shape
+    rows = (rh @ x.data.transpose(0, 2, 3, 1).reshape(b, h, w * c)).reshape(b * h2, w, c)
+    out = (rw @ rows).reshape(b, h2, w2, c).transpose(0, 3, 1, 2)
 
     def vjp(g):
-        return (rh.T @ g @ rw,)
+        g_rows = (rh.T @ g.transpose(0, 2, 3, 1).reshape(b, h2, w2 * c)).reshape(b * h, w2, c)
+        return ((rw.T @ g_rows).reshape(b, h, w, c).transpose(0, 3, 1, 2),)
 
     return _node(out, (x,), vjp)

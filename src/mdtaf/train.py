@@ -136,8 +136,16 @@ class TrainConfig:
     history_path: Optional[str] = None
 
     def __post_init__(self):
+        if not self.lr_max > 0:
+            raise ConfigError(f"lr_max {self.lr_max} is not positive")
+        if not self.lr_min >= 0:
+            raise ConfigError(f"lr_min {self.lr_min} is negative")
         if self.lr_min > self.lr_max:
             raise ConfigError("lr_min must be <= lr_max")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps {self.max_steps} is not positive")
+        if self.eval_interval < 0:
+            raise ConfigError(f"eval_interval {self.eval_interval} is negative")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -197,10 +197,30 @@ def test_gen_data_rejects_channels_a_pnm_cannot_hold(tmp_path, capsys, channels)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["heads", "reduction", "window"])
+@pytest.mark.parametrize("flags,message", [(["--lr-max", "-1", "--lr-min", "-2"], "lr_max -1"),
+                                           (["--steps", "-1"], "max_steps -1"),
+                                           (["--eval-interval", "-1"], "eval_interval -1")])
+def test_train_rejects_settings_that_cannot_work(workspace, capsys, flags, message):
+    # each used to run: a negative rate climbs the loss, -1 steps ran one step
+    assert run(["train", "--data", workspace["data"], *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [(["--count", "0"], "count 0"),
+                                           (["--noise-sigma", "-1"], "noise_sigma -1"),
+                                           (["--blur-radius", "-2"], "blur_radius -2")])
+def test_gen_data_rejects_a_spec_that_cannot_work(tmp_path, capsys, flags, message):
+    # --count 0 used to write an empty dataset and exit 0
+    out = tmp_path / "ds"
+    assert run(["gen-data", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["heads", "reduction", "window", "channels", "sizes"])
 def test_bench_rejects_a_zero_count(capsys, flag):
     assert run(["bench", "--kinds", "esa,ssa", "--sizes", "64", f"--{flag}", "0"]) == 2
-    assert f"{flag} 0" in capsys.readouterr().err
+    assert ("size 0" if flag == "sizes" else f"{flag} 0") in capsys.readouterr().err
 
 
 def test_bench_emits_rows(capsys):

@@ -129,6 +129,14 @@ def test_channels_a_pnm_cannot_hold_are_rejected(channels):
         SynthSpec(channels=channels)
 
 
+@pytest.mark.parametrize("kwargs,message", [({"count": 0}, "count 0"), ({"count": -1}, "count -1"),
+                                            ({"noise_sigma": -1.0}, "noise_sigma -1"),
+                                            ({"blur_radius": -2}, "blur_radius -2")])
+def test_spec_values_that_cannot_work_are_rejected(kwargs, message):
+    with pytest.raises(SpecError, match=message):
+        SynthSpec(**kwargs)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         generate_samples(SynthSpec(family="squares", count=1))

@@ -446,13 +446,47 @@ def test_layout_ops_return_views():
         assert np.shares_memory(y.data, x.data)
 
 
-def test_conv2d_outputs_are_c_contiguous():
-    rng = np.random.default_rng(3)
-    x = T.transpose(Tensor(rng.normal(size=(2, 5, 5, 4))), (0, 3, 1, 2))  # channel-last view
-    for groups in (1, 4):  # the im2col GEMM and the depthwise shifted-add path
-        w = Tensor(rng.normal(size=(4, 4 // groups, 3, 3)))
-        for b in (Tensor(rng.normal(size=4)), None):
-            assert T.conv2d(x, w, b, padding=1, groups=groups).data.flags.c_contiguous
+def _axes_by_stride(a):
+    """Axes from the outermost in memory to the innermost."""
+    return tuple(int(i) for i in np.argsort(a.strides, kind="stable")[::-1])
+
+
+_CHANNEL_FIRST, _CHANNEL_LAST = (0, 1, 2, 3), (0, 2, 3, 1)
+
+
+_RNG3 = np.random.default_rng(3)
+_K3, _K1, _KDW4, _B3, _B4 = (Tensor(_RNG3.normal(size=s))
+                             for s in ((3, 4, 3, 3), (3, 4, 1, 1), (4, 1, 3, 3), (3,), (4,)))
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: T.conv2d(x, _K3, _B3, padding=1),
+    lambda x: T.conv2d(x, _K3, stride=2, padding=1),
+    lambda x: T.conv2d(x, _K1, _B3),
+    lambda x: T.conv2d(x, _K1),
+    lambda x: T.conv2d(x, _KDW4, _B4, padding=1, groups=4),
+    lambda x: T.conv2d(x, _KDW4, groups=4),
+    lambda x: T.bilinear_resize(x, 9, 4),
+], ids=["gemm", "gemm_strided", "1x1", "1x1_no_bias", "depthwise", "depthwise_no_bias",
+        "bilinear_resize"])
+def test_conv_and_resize_keep_the_input_memory_order(op):
+    # a channel-last view (as tokens_to_map gives) stays channel-last with no
+    # transposing copy; a compact B,C,H,W input gives a compact output
+    leaf = Tensor(_RNG3.normal(size=(2, 5, 6, 4)), requires_grad=True)
+    for x, order in ((T.transpose(leaf, (0, 3, 1, 2)), _CHANNEL_LAST),
+                     (Tensor(_RNG3.normal(size=(2, 4, 5, 6)), requires_grad=True),
+                      _CHANNEL_FIRST)):
+        y = op(x)
+        assert _axes_by_stride(y.data) == order
+        if order == _CHANNEL_FIRST:
+            assert y.data.flags.c_contiguous
+        gx = y._vjp(np.ones_like(y.data))[0]
+        assert gx.shape == x.shape and _axes_by_stride(gx) == order
+
+
+def test_1x1_conv_reads_a_channel_last_input_in_place():
+    x = T.transpose(Tensor(np.random.default_rng(4).normal(size=(2, 5, 6, 4))), (0, 3, 1, 2))
+    assert np.shares_memory(T._im2col(x.data, 1, 1, 1, 0, 1, 5, 6), x.data)
 
 
 def test_linear_is_one_tape_node():
@@ -537,7 +571,14 @@ def _cropped_view(shape):
     return leaf, leaf[..., 1:-2], lambda g: g[..., 1:-2]
 
 
-@pytest.mark.parametrize("view", [_transposed_view, _cropped_view])
+def _channel_last_view(shape):
+    """A B,H,W,C leaf seen as B,C,H,W, as ``tokens_to_map`` gives it."""
+    b, c, h, w = shape
+    leaf = Tensor(_VIEW_RNG.normal(size=(b, h, w, c)), requires_grad=True)
+    return leaf, T.transpose(leaf, (0, 3, 1, 2)), lambda g: g.transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("view", [_transposed_view, _cropped_view, _channel_last_view])
 @pytest.mark.parametrize("name", sorted(_VIEW_OPS))
 def test_ops_on_views_match_contiguous_copies(name, view):
     leaf, x, take = view((2, 3, 4, 5))
@@ -566,6 +607,13 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(rows, cols, seed):
     assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-6
     shifted = T.softmax(Tensor(x + 123.0), axis=-1).data
     assert np.abs(shifted - s).max() < 1e-6
+
+
+def test_softmax_flushes_subnormal_probabilities():
+    # exp(-90) is about 8e-40, a subnormal float32; a GEMM reading it runs slowly
+    s = T.softmax(Tensor(np.array([[0.0, -90.0, -200.0]], dtype=np.float32)), axis=-1).data
+    assert s.dtype == np.float32
+    assert s[0, 0] == 1.0 and np.array_equal(s[0, 1:], [0.0, 0.0])
 
 
 def test_softmax_survives_large_logits():

@@ -220,7 +220,11 @@ def test_train_rejects_empty_dataset():
 
 
 @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": 0},
-                                    {"lr_min": 1e-3, "lr_max": 1e-4}])
+                                    {"lr_min": 1e-3, "lr_max": 1e-4},
+                                    {"lr_max": 0.0, "lr_min": 0.0},
+                                    {"lr_max": -1.0, "lr_min": -2.0}, {"lr_min": -1e-6},
+                                    {"max_steps": 0}, {"max_steps": -1},
+                                    {"eval_interval": -1}])
 def test_train_config_rejects_settings_that_cannot_work(kwargs):
     # a negative batch size used to make the training loop draw no batch, forever
     with pytest.raises(ConfigError):
