@@ -228,15 +228,15 @@ def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore,
 
 
 def pad_to_multiple(image: Tensor, multiple: int = 32) -> Tensor:
-    """Reflect-pad H and W up to the next multiple (zero-pad if tracked)."""
+    """Reflect-pad H and W at their high ends up to the next multiple: one
+    gather on the tape, whether or not the image is tracked."""
     h, w = image.shape[2], image.shape[3]
     ph, pw = (-h) % multiple, (-w) % multiple
     if ph == 0 and pw == 0:
         return image
-    if image.requires_grad:
-        return T.pad_bottom_right(image, ph, pw)
-    padded = np.pad(image.data, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
-    return Tensor(padded)
+    rows = np.pad(np.arange(h), (0, ph), mode="reflect")
+    cols = np.pad(np.arange(w), (0, pw), mode="reflect")
+    return T.getitem(image, (slice(None), slice(None), rows[:, None], cols))
 
 
 def model_forward(image: Tensor, cfg: ModelConfig, params: ParamStore) -> Tensor:

@@ -11,11 +11,11 @@ place.  Every differentiable operation records its parents and a
 vector-Jacobian closure; ``backward`` replays the tape in reverse creation
 order, which keeps gradient accumulation deterministic.
 
-``conv2d`` and ``bilinear_resize`` keep their input's memory order, forward
-and VJP.  A B,C,H,W input whose channel axis is innermost in memory (the
-``tokens_to_map`` view of a token sequence) is computed channel-last and gives
-a channel-last view, with no transposing copy; any other input gives a
-compact B,C,H,W array.  The layout is read from the input's strides.
+Feature maps have one memory order.  ``conv2d``, ``conv_transpose2d`` and
+``bilinear_resize`` take a B,C,H,W input in any memory order, and their output
+and input gradient are channel-last views: channels innermost in memory, as
+``tokens_to_map`` gives them, so a map becomes tokens without a copy.
+``layer_norm`` reads its input as (rows, C), and its means are GEMVs.
 ``softmax`` flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so
 no later GEMM reads a subnormal float, which runs many times slower.
 
@@ -570,29 +570,42 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
                eps: float = 1e-6) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then affine.
 
-    gamma/beta must broadcast against x with the normalized extent on ``axis``.
-    One tape node; the VJP is the closed form
+    gamma/beta hold one value per position of ``axis`` in a shape of their
+    own, such as (C,) or (1,C,1,1).  The input is read as (rows, C) with
+    ``axis`` last, a free view for token sequences and channel-last maps;
+    every mean over C is a GEMV with a ``1/C`` vector, and every sum over
+    rows one with a ones vector.  One tape node; the VJP is the closed form
     ``gx = rstd * (gh - mean(gh) - xn * mean(gh * xn))`` with ``gh = g * gamma``.
     """
     gamma = _ensure(gamma, like=x)
     beta = _ensure(beta, like=x)
-    xn = x.data - x.data.mean(axis=axis, keepdims=True)
-    rstd = 1.0 / np.sqrt((xn * xn).mean(axis=axis, keepdims=True) + eps)
+    ax = axis % x.ndim
+    order = (*range(ax), *range(ax + 1, x.ndim), ax)  # ``axis`` last
+    back = (*range(ax), x.ndim - 1, *range(ax, x.ndim - 1))
+    xm = x.data.transpose(order)
+    c = xm.shape[-1]
+    inv_c = np.full(c, 1.0 / c, dtype=x.data.dtype)
+    x2 = xm.reshape(-1, c)
+    xn = x2 - (x2 @ inv_c)[:, None]
+    rstd = (1.0 / np.sqrt((xn * xn) @ inv_c + eps))[:, None]
     xn *= rstd
-    out = xn * gamma.data
-    out += beta.data
+    out = xn * gamma.data.reshape(c)
+    out += beta.data.reshape(c)
 
     def vjp(g):
-        gx = g * gamma.data                       # gh, turned into gx in place
+        g2 = g.transpose(order).reshape(-1, c)
+        gx = g2 * gamma.data.reshape(c)           # gh, turned into gx in place
         tmp = gx * xn
-        np.multiply(xn, tmp.mean(axis=axis, keepdims=True), out=tmp)
-        gx -= gx.mean(axis=axis, keepdims=True)
+        np.multiply(xn, (tmp @ inv_c)[:, None], out=tmp)
+        gx -= (gx @ inv_c)[:, None]
         gx -= tmp
         gx *= rstd
-        gamma_rows = np.multiply(g, xn, out=tmp)
-        return gx, _unbroadcast(gamma_rows, gamma.shape), _unbroadcast(g, beta.shape)
+        ones = np.ones(len(g2), dtype=g2.dtype)
+        ggamma = ones @ np.multiply(g2, xn, out=tmp)
+        return (gx.reshape(xm.shape).transpose(back), ggamma.reshape(gamma.shape),
+                (ones @ g2).reshape(beta.shape))
 
-    return _node(out, (x, gamma, beta), vjp)
+    return _node(out.reshape(xm.shape).transpose(back), (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +615,8 @@ def _conv_out_extent(h: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (h + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _channel_last(a: np.ndarray) -> bool:
-    """True for a B,C,H,W array whose channels are innermost in memory, such
-    as a ``tokens_to_map`` view."""
-    return a.ndim == 4 and a.strides[1] < a.strides[3]
-
-
-def _zeros_map(shape: tuple, dtype, channel_last: bool) -> np.ndarray:
-    """Zeroed B,C,H,W array, stored channel-last when ``channel_last``."""
-    if not channel_last:
-        return np.zeros(shape, dtype)
+def _zeros_map(shape: tuple, dtype) -> np.ndarray:
+    """Zeroed B,C,H,W array stored channel-last."""
     b, c, h, w = shape
     return np.zeros((b, h, w, c), dtype).transpose(0, 3, 1, 2)
 
@@ -658,10 +663,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
 
     Stride-1 depthwise convs run as kh*kw shifted multiply-adds; every other
     conv is one (grouped) GEMM over channel-last im2col windows.  The output
-    and the input gradient keep the input's memory order: a channel-last
-    input gives channel-last views, anything else compact B,C,H,W arrays.
-    Both VJPs are closures of this function, so a profiler that names a VJP
-    by its ``__qualname__`` charges both to ``conv2d``.
+    and the input gradient are channel-last views.  Both VJPs are closures of
+    this function, so a profiler that names a VJP by its ``__qualname__``
+    charges both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
     cout, cin_g, kh, kw = w.shape
@@ -674,58 +678,42 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
     parents = (x, w) if b is None else (x, w, b)
-    cl = _channel_last(x.data)
 
     if groups == cin == cout and stride == 1:
         # Rows of the padded input are laid end to end, so each tap is one
         # contiguous shifted slice; output columns past ``wo`` are wrapped
         # garbage and are cropped.  One spare row keeps the last tap in bounds.
+        # A pixel is C floats, and the tap weights are tiled along a row.
         hp, wp = h + 2 * padding, wdt + 2 * padding
         n = ho * wp
         taps = [i * dilation * wp + j * dilation for i in range(kh) for j in range(kw)]
-        wk = w.data.reshape(cout, kh * kw)
-        if cl:
-            # a pixel is C floats: each tap's weights are tiled along a
-            # padded row, so a multiply-add runs over whole rows
-            wt = np.tile(wk.T, (1, wp))
+        wt = np.tile(w.data.reshape(cout, kh * kw).T, (1, wp))
 
-            def window(m, off):
-                return m.transpose(0, 2, 3, 1).reshape(bsz, -1)[:, off * cin:(off + n) * cin] \
-                    .reshape(bsz, ho, wp * cin)
+        def window(m, off):
+            return m.transpose(0, 2, 3, 1).reshape(bsz, -1)[:, off * cin:(off + n) * cin] \
+                .reshape(bsz, ho, wp * cin)
 
-            def per_channel(a, c):
-                return np.einsum("bhk,bhk->k", a, c).reshape(wp, cin).sum(axis=0)
-        else:
-            wt = wk.T[:, :, None]
-
-            def window(m, off):
-                return m.reshape(bsz, cin, -1)[:, :, off:off + n]
-
-            def per_channel(a, c):
-                return np.einsum("bcn,bcn->c", a, c)
-
-        xp = _zeros_map((bsz, cin, hp + 1, wp), x.data.dtype, cl)
+        xp = _zeros_map((bsz, cin, hp + 1, wp), x.data.dtype)
         xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
-        acc = _zeros_map((bsz, cout, ho, wp), x.data.dtype, cl)
+        acc = _zeros_map((bsz, cout, ho, wp), x.data.dtype)
         rows = window(acc, 0)
         for t, off in enumerate(taps):
             rows += window(xp, off) * wt[t]
         out = acc[..., :wo]
         if b is not None:
             out = out + b.data.reshape(1, cout, 1, 1)
-        elif not cl:
-            out = np.ascontiguousarray(out)
 
         def vjp_depthwise(g):
-            gp = _zeros_map(acc.shape, g.dtype, cl)
+            gp = _zeros_map(acc.shape, g.dtype)
             gp[..., :wo] = g
             grows = window(gp, 0)
-            gxp = _zeros_map(xp.shape, g.dtype, cl)
+            gxp = _zeros_map(xp.shape, g.dtype)
             gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
             for t, off in enumerate(taps):
                 gx_rows = window(gxp, off)
                 gx_rows += grows * wt[t]
-                gw[:, t] = per_channel(grows, window(xp, off))
+                gw[:, t] = np.einsum("bhk,bhk->k", grows, window(xp, off)) \
+                    .reshape(wp, cin).sum(axis=0)
             gx = gxp[:, :, padding:padding + h, padding:padding + wdt]
             if b is None:
                 return gx, gw.reshape(w.shape)
@@ -745,19 +733,15 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     if b is not None:
         out_m += b.data
     out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
-    if not cl:
-        out = np.ascontiguousarray(out)
 
     def vjp(g):
-        g_rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(rows, cout)
+        g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
         g_m = g_rows.reshape(rows, groups, og).transpose(1, 0, 2)   # g, BHW, og
         gw = np.matmul(g_m.swapaxes(1, 2), cols_m)                 # g, og, kh*kw*Cg
         gw = gw.reshape(groups, og, kh, kw, cg).transpose(0, 1, 4, 2, 3).reshape(w.shape)
         gcols = np.matmul(g_m, w_m).reshape(groups, rows, kh * kw, cg).transpose(1, 2, 0, 3)
         gcols = gcols.reshape(bsz, ho, wo, kh, kw, cin)
         gx = _col2im(gcols, x.shape, stride, padding, dilation)
-        if not cl:
-            gx = np.ascontiguousarray(gx)
         if b is None:
             return gx, gw
         return gx, gw, g_rows.sum(axis=0)
@@ -770,29 +754,30 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor
     x: B,Cin,H,W; w: Cin,Cout,Kh,Kw; output B,Cout,H*Kh,W*Kw.  The windows do
     not overlap, so it is one GEMM and a depth-to-space copy that keeps
     channels innermost (sub-pixel convolution, Shi et al. 2016,
-    arXiv:1609.05158)."""
+    arXiv:1609.05158).  The output and the input gradient are channel-last
+    views."""
     bsz, cin, h, wdt = x.shape
     cin_w, cout, kh, kw = w.shape
     if cin_w != cin:
         raise ShapeError(f"conv_transpose2d expects {cin_w} in-channels, got {cin}")
     rows = bsz * h * wdt
-    x_m = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(rows, cin)
+    x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
     w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
     out_m = (x_m @ w_m).reshape(bsz, h, wdt, kh, kw, cout)
     if b is not None:
         out_m += b.data
-    out = np.ascontiguousarray(out_m.transpose(0, 1, 3, 2, 4, 5))
-    out = np.ascontiguousarray(out.reshape(bsz, h * kh, wdt * kw, cout).transpose(0, 3, 1, 2))
+    out = out_m.transpose(0, 1, 3, 2, 4, 5).reshape(bsz, h * kh, wdt * kw, cout) \
+        .transpose(0, 3, 1, 2)
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        g_m = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz, h, kh, wdt, kw, cout)
-        g_m = np.ascontiguousarray(g_m.transpose(0, 1, 3, 2, 4, 5)).reshape(rows, kh * kw * cout)
+        g_m = g.transpose(0, 2, 3, 1).reshape(bsz, h, kh, wdt, kw, cout) \
+            .transpose(0, 1, 3, 2, 4, 5).reshape(rows, kh * kw * cout)
         gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
         gw = (x_m.T @ g_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
         if b is None:
-            return np.ascontiguousarray(gx), gw
-        return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3))
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
     return _node(out, parents, vjp)
 
@@ -829,15 +814,14 @@ def bilinear_resize_array(x: np.ndarray, h2: int, w2: int) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, h2: int, w2: int) -> Tensor:
-    """Differentiable bilinear resize of the last two axes, B,C,H,W to
-    B,C,h2,w2.  A channel-last map is resized over its channel-last rows and
-    gives a channel-last view, with the same H-then-W order of contractions."""
-    rh = _resize_matrix(x.shape[-2], h2, x.data.dtype)
-    rw = _resize_matrix(x.shape[-1], w2, x.data.dtype)
-    if not _channel_last(x.data):
-        out = rh @ x.data @ rw.T
-        return _node(out, (x,), lambda g: (rh.T @ g @ rw,))
+    """Differentiable bilinear resize of a B,C,H,W map to B,C,h2,w2, H then W,
+    over channel-last rows; the output and the input gradient are
+    channel-last views."""
+    if x.ndim != 4:
+        raise ShapeError(f"bilinear_resize expects a B,C,H,W map, got shape {x.shape}")
     b, c, h, w = x.shape
+    rh = _resize_matrix(h, h2, x.data.dtype)
+    rw = _resize_matrix(w, w2, x.data.dtype)
     rows = (rh @ x.data.transpose(0, 2, 3, 1).reshape(b, h, w * c)).reshape(b * h2, w, c)
     out = (rw @ rows).reshape(b, h2, w2, c).transpose(0, 3, 1, 2)
 

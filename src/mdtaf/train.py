@@ -169,7 +169,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
     """Run the training loop; returns (params, history).
 
     History is a list of dicts: {"step", "lr", "loss"} per step and
-    {"step", "acc", "dice"} per evaluation.  Fully deterministic given seeds.
+    {"step", "acc", "dice", "loss"} per evaluation, each a mean over the whole
+    dataset.  Fully deterministic given seeds.
     """
     from .model import init_params  # local import avoids a cycle at module load
 
@@ -204,7 +205,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
             step += 1
             if train_cfg.eval_interval and step % train_cfg.eval_interval == 0:
                 m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)
-                history.append({"step": step, "acc": m.accuracy, "dice": m.dice})
+                history.append({"step": step, "acc": m.accuracy, "dice": m.dice, "loss": m.loss})
                 if m.dice > best_dice and train_cfg.checkpoint_path:
                     best_dice = m.dice
                     save_checkpoint(params, model_cfg, train_cfg.checkpoint_path + ".best")
@@ -213,7 +214,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
                 break
 
     m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)
-    history.append({"step": step, "acc": m.accuracy, "dice": m.dice})
+    history.append({"step": step, "acc": m.accuracy, "dice": m.dice, "loss": m.loss})
     if train_cfg.checkpoint_path:
         save_checkpoint(params, model_cfg, train_cfg.checkpoint_path)
         if m.dice > best_dice:

@@ -116,6 +116,17 @@ def check_gradients_ops(seed=0):
         worst["attention"],
         grad_check(lambda q, k, v: T.tsum(T.attention(q, k, v, 0.5) * probe_tiles),
                    [_rand(rng, 1, n, 2), _rand(rng, 1, 7, 2), _rand(rng, 1, 7, 2)]))
+    # stride-1 depthwise conv (the shifted multiply-add path) on a channel-first
+    # leaf and on a channel-last view of a B,H,W,C leaf; the channel norm on one
+    def f_dw(x, w, b):
+        return T.tsum(T.tanh(T.conv2d(x, w, b, padding=2, dilation=2, groups=3)))
+    dw = [_rand(rng, 3, 1, 3, 3), _rand(rng, 3)]
+    worst["conv2d"] = max(worst["conv2d"], grad_check(f_dw, [_rand(rng, 2, 3, 5, 6)] + dw),
+                          grad_check(lambda x, w, b: f_dw(T.transpose(x, (0, 3, 1, 2)), w, b),
+                                     [_rand(rng, 2, 5, 6, 3)] + dw))
+    worst["layer_norm"] = max(worst["layer_norm"], grad_check(
+        lambda x, g, b: T.tsum(T.tanh(T.layer_norm(T.transpose(x, (0, 3, 1, 2)), g, b, axis=1))),
+        [_rand(rng, 2, 3, 4, 5), _rand(rng, 1, 5, 1, 1), _rand(rng, 1, 5, 1, 1)]))
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     detail = ", ".join(f"{k}={v:.2e}" for k, v in sorted(worst.items()))
     return not bad, detail

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def workspace(tmp_path_factory):
 
 def test_gen_data_writes_manifest(workspace):
     manifest = os.path.join(workspace["data"], "manifest.jsonl")
-    records = [json.loads(l) for l in open(manifest)]
+    records = [json.loads(l) for l in Path(manifest).read_text().splitlines()]
     assert len(records) == 3
     for rec in records:
         assert os.path.exists(os.path.join(workspace["data"], rec["image_path"]))
@@ -38,8 +39,8 @@ def test_gen_data_writes_manifest(workspace):
 
 def test_train_writes_checkpoint_and_history(workspace):
     assert os.path.exists(workspace["ckpt"])
-    recs = [json.loads(l) for l in open(workspace["hist"])]
-    losses = [r["loss"] for r in recs if "loss" in r]
+    recs = [json.loads(l) for l in Path(workspace["hist"]).read_text().splitlines()]
+    losses = [r["loss"] for r in recs if "lr" in r]
     assert len(losses) == 2 and all(np.isfinite(losses))
 
 
@@ -99,7 +100,7 @@ def test_checkpoint_of_another_shape_exits_1(workspace, tmp_path, capsys):
 def test_malformed_manifest_exits_1(workspace, tmp_path, capsys):
     data = tmp_path / "ds"
     data.mkdir()
-    good = json.loads(open(os.path.join(workspace["data"], "manifest.jsonl")).readline())
+    good = json.loads(Path(workspace["data"], "manifest.jsonl").read_text().splitlines()[0])
     for key in ("image_path", "mask_path"):  # absolute paths survive the join
         good[key] = os.path.join(workspace["data"], good[key])
     for bad, named in ((json.dumps({"id": "x", "mask_path": "m.pgm"}), "'image_path'"),
@@ -118,12 +119,11 @@ def test_bad_arguments_exit_2():
 
 def test_config_file_sets_defaults_but_flags_win(workspace, tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"gen-data.count": 2, "gen-data.size": 16}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"gen-data.count": 2, "gen-data.size": 16}))
     out_dir = str(tmp_path / "ds2")
     assert run(["--config", cfg, "gen-data", "--out", out_dir,
                 "--count", "1", "--seed", "0"]) == 0
-    recs = [json.loads(l) for l in
-            open(os.path.join(out_dir, "manifest.jsonl"))]
+    recs = [json.loads(l) for l in Path(out_dir, "manifest.jsonl").read_text().splitlines()]
     assert len(recs) == 1  # explicit flag beat the config file
     img = read_pnm(os.path.join(out_dir, recs[0]["image_path"]))
     assert img.shape == (16, 16)  # config default applied

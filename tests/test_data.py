@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,11 +44,11 @@ def test_pnm_errors_name_the_file(tmp_path):
     with pytest.raises(DataError, match="nope.pgm"):
         read_pnm(missing)
     bad = str(tmp_path / "bad.pgm")
-    open(bad, "wb").write(b"P3\n1 1\n255\n\x00")
+    Path(bad).write_bytes(b"P3\n1 1\n255\n\x00")
     with pytest.raises(DataError, match="magic"):
         read_pnm(bad)
     trunc = str(tmp_path / "short.pgm")
-    open(trunc, "wb").write(b"P5\n4 4\n255\n\x00\x00")
+    Path(trunc).write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(DataError, match="truncated"):
         read_pnm(trunc)
 
@@ -61,7 +62,7 @@ def test_pnm_errors_name_the_file(tmp_path):
 ], ids=["word-width", "float-maxval", "negative-height", "zero-width", "oversized"])
 def test_pnm_header_errors_are_typed(tmp_path, header, message):
     path = str(tmp_path / "h.pnm")
-    open(path, "wb").write(header + b"\x00" * 48)
+    Path(path).write_bytes(header + b"\x00" * 48)
     with pytest.raises(DataError, match=message) as err:
         read_pnm(path)
     assert "h.pnm" in str(err.value)
@@ -75,13 +76,13 @@ def test_pnm_fuzz_raises_only_data_errors(data):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "img.pnm")
         write_pnm(path, arr.reshape((3, 4, 3) if color else (3, 4)))
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         cut = data.draw(st.integers(0, len(blob)), label="length")
         flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
                                              st.integers(1, 255)), max_size=4), label="flips")
         for at, mask in flips:
             blob[at] ^= mask
-        open(path, "wb").write(bytes(blob[:cut]))
+        Path(path).write_bytes(bytes(blob[:cut]))
         try:
             read_pnm(path)
         except DataError:
@@ -178,7 +179,7 @@ def test_generate_and_load_dataset_roundtrip(tmp_path):
     spec = SynthSpec(size=32, count=3, seed=2)
     records = generate_dataset(spec, out)
     assert len(records) == 3
-    manifest = [json.loads(l) for l in open(os.path.join(out, "manifest.jsonl"))]
+    manifest = [json.loads(l) for l in Path(out, "manifest.jsonl").read_text().splitlines()]
     assert manifest == records
     assert all(r["snr"] == spec.snr for r in records)
     ds = load_dataset(out)

@@ -7,12 +7,14 @@ patch embedding exactly, and switching filtering off takes the same path.
 import numpy as np
 import pytest
 
+from mdtaf import filter_embed
 from mdtaf.filter_embed import (FILTER_CHANNELS, FILTER_DILATIONS,
                                 FILTER_SPLITS, PatchEmbedConfig,
                                 attention_weights, dilated_pyramid,
                                 filtered_embed, hourglass2d,
                                 init_patch_embed,
                                 overlap_patch_embed)
+from mdtaf.layers import map_to_tokens
 from mdtaf.params import Initializer, ParamStore
 from mdtaf.tensor import ConfigError, ShapeError, Tensor, no_grad
 
@@ -139,3 +141,29 @@ def test_gate_actually_attenuates():
         filtered, _, _ = filtered_embed(x, cfg, store, "pe", filtering=True)
         off, _, _ = filtered_embed(x, cfg, store, "pe", filtering=False)
     assert np.abs(filtered.data - off.data).max() > 1e-6
+
+
+@pytest.mark.parametrize("filtering", [False, True])
+def test_stage1_tokens_are_a_view_of_the_channel_last_embedding(monkeypatch, filtering):
+    # the image is a compact B,C,H,W leaf; its embedding comes out as a
+    # channel-last view, so tokenizing it, gated or not, copies nothing
+    cfg, store = _embed_setup()
+    x = Tensor(np.random.default_rng(8).normal(size=(2, 1, 32, 32)).astype(np.float32))
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            seen[name] = (args[0], fn(*args))
+            return seen[name][1]
+        return wrapped
+
+    monkeypatch.setattr(filter_embed, "overlap_patch_embed",
+                        spy("embed", overlap_patch_embed))
+    monkeypatch.setattr(filter_embed, "map_to_tokens", spy("tokens", map_to_tokens))
+    with no_grad():
+        tokens, _, _ = filter_embed.filtered_embed(x, cfg, store, "pe", filtering=filtering)
+    embed = seen["embed"][1].data
+    assert embed.transpose(0, 2, 3, 1).flags.c_contiguous
+    gated, out = seen["tokens"]
+    assert out is tokens and np.shares_memory(tokens.data, gated.data)
+    assert np.shares_memory(tokens.data, embed) == (not filtering)

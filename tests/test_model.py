@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mdtaf.model import (CheckpointCorruptError, CheckpointError,
                          load_checkpoint, mlp_decoder, model_forward,
                          pad_to_multiple, save_checkpoint, tiny_config)
 from mdtaf import tensor as T
+from mdtaf.gradcheck import grad_check
 from mdtaf.layers import linear, map_to_tokens, tokens_to_map
 from mdtaf.params import ParamStore
 from mdtaf.tensor import Tensor, no_grad
@@ -58,6 +60,25 @@ def test_pad_to_multiple_is_identity_on_aligned_input():
     assert pad_to_multiple(x, 32).shape == (1, 1, 64, 32)
     y = pad_to_multiple(Tensor(np.zeros((1, 1, 33, 65))), 32)
     assert y.shape == (1, 1, 64, 96)
+
+
+def test_tracked_and_untracked_inputs_give_the_same_logits(desk):
+    cfg, params = desk
+    data = np.random.default_rng(2).normal(size=(1, 1, 50, 70)).astype(np.float32)
+    with no_grad():
+        plain = model_forward(Tensor(data), cfg, params).data
+    tracked = model_forward(Tensor(data, requires_grad=True), cfg, params).data
+    np.testing.assert_array_equal(tracked, plain)
+
+
+def test_grad_reflect_pad():
+    # H pads 5 -> 8, W pads 3 -> 8: more than one reflection
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(1, 2, 5, 3)))
+    want = np.pad(x.data, ((0, 0), (0, 0), (0, 3), (0, 5)), mode="reflect")
+    np.testing.assert_array_equal(pad_to_multiple(x, 8).data, want)
+    probe = Tensor(rng.normal(size=(1, 2, 8, 8)))
+    assert grad_check(lambda x: T.tsum(pad_to_multiple(x, 8) * probe), [x]) < 1e-6
 
 
 def test_batch_independence(desk):
@@ -181,9 +202,9 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "v.ckpt")
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[5:8] = b"999"
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CheckpointVersionError):
         load_checkpoint(path)
 
@@ -192,8 +213,8 @@ def test_checkpoint_rejects_truncation(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:len(blob) // 2])
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(path)
 
@@ -223,12 +244,12 @@ def test_checkpoint_shapes_are_checked_against_its_config(tmp_path):
 
 def _edit_checkpoint_config(path, edit):
     """Rewrite the JSON config of the checkpoint at ``path`` through ``edit``."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (n,) = struct.unpack("<Q", blob[8:16])
     d = json.loads(blob[16:16 + n])
     edit(d)
     new = json.dumps(d, sort_keys=True).encode("utf-8")
-    open(path, "wb").write(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + n:])
+    Path(path).write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + n:])
 
 
 def test_checkpoint_config_keys(tmp_path):
@@ -266,7 +287,7 @@ def _small_checkpoint_bytes(tmp_dir):
     store.add("b", np.ones(4, dtype=np.float32))
     path = os.path.join(tmp_dir, "small.ckpt")
     save_checkpoint(store, tiny_config(), path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     return blob, 16 + struct.unpack("<Q", blob[8:16])[0]
 
 
@@ -281,7 +302,7 @@ def test_checkpoint_rejects_oversized_lengths_and_duplicates(tmp_path):
                                (cfg_end, struct.pack("<Q", 2 ** 60), "tensor count"),
                                (first_extent - 8, struct.pack("<Q", 2 ** 61), "rank"),
                                (second_name, b"a", "duplicate tensor name 'a'")):
-        open(path, "wb").write(blob[:at] + patch + blob[at + len(patch):])
+        Path(path).write_bytes(blob[:at] + patch + blob[at + len(patch):])
         with pytest.raises(CheckpointCorruptError, match=message):
             load_checkpoint(path)
 
@@ -298,7 +319,7 @@ def test_checkpoint_fuzz_raises_only_checkpoint_errors(data):
         for at, mask in flips:
             buf[at] ^= mask
         path = os.path.join(tmp_dir, "fuzz.ckpt")
-        open(path, "wb").write(bytes(buf[:cut]))
+        Path(path).write_bytes(bytes(buf[:cut]))
         try:
             load_checkpoint(path)
         except CheckpointError:

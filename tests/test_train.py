@@ -192,14 +192,18 @@ def test_train_runs_and_reports_history(tmp_path):
     ds = _toy_dataset()
     cfg = tiny_config()
     hist_path = str(tmp_path / "hist.jsonl")
-    tcfg = TrainConfig(epochs=1, batch_size=2, max_steps=3, seed=0,
+    tcfg = TrainConfig(epochs=1, batch_size=2, max_steps=3, seed=0, eval_interval=2,
                        history_path=hist_path,
                        checkpoint_path=str(tmp_path / "m.ckpt"))
     params, history = train(cfg, tcfg, ds)
-    losses = [h["loss"] for h in history if "loss" in h]
+    losses = [h["loss"] for h in history if "lr" in h]
     assert len(losses) == 3 and all(math.isfinite(v) for v in losses)
-    assert "dice" in history[-1]
-    recs = [json.loads(l) for l in open(hist_path)]
+    evals = [h for h in history if "dice" in h]
+    assert [h["step"] for h in evals] == [2, 3] and evals[-1] is history[-1]
+    assert all(set(h) == {"step", "acc", "dice", "loss"} and math.isfinite(h["loss"])
+               for h in evals)
+    with open(hist_path) as f:
+        recs = [json.loads(l) for l in f]
     assert recs == history
     assert (tmp_path / "m.ckpt").exists()
 
