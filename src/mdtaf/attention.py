@@ -4,10 +4,13 @@ Branches over a token sequence B,N,C at spatial size H x W:
 
 * ESA: token self-attention with keys/values spatially reduced by a factor R
   via reshape(N/R, C*R) + linear(C*R -> C).
-* SSA: windowed multi-head attention with a learnable relative position bias,
-  fused with a depthwise-conv local branch through interaction gates.
-* CSA: attention over the channel axis with a learnable per-head temperature,
-  fused with its own local branch through the gates in swapped order.
+* SSA: windowed multi-head attention with a learnable relative position bias.
+* CSA: attention over the channel axis with a learnable per-head temperature.
+
+SSA and CSA share one interaction path after the core: the merged attention
+output and a 3x3 depthwise-conv local branch gate each other through a spatial
+and a channel gate (roles swapped between SSA and CSA), projected onto the
+residual.
 
 Block output: MLP applied to Y_E + 0.6 * Y_S + 0.4 * Y_C (fixed weights).
 """
@@ -146,16 +149,7 @@ def efficient_self_attention(x: Tensor, cfg: AttentionConfig, params: ParamStore
 
 
 # ---------------------------------------------------------------------------
-# local branch and interaction gates
-
-def init_depthwise_local(store: ParamStore, init: Initializer, prefix: str, c: int):
-    init_conv(store, init, prefix, c, c, 3, groups=c)
-
-
-def depthwise_local(f: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    """3x3 depthwise conv + GELU over a B,C,H,W map; shape preserved."""
-    return T.gelu(conv(params, prefix, f, padding=1, groups=f.shape[1]))
-
+# interaction gates
 
 def init_interact_spatial(store: ParamStore, init: Initializer, prefix: str,
                           c: int, r1: int):
@@ -188,18 +182,45 @@ def interact_channel(x1: Tensor, x2: Tensor, params: ParamStore, prefix: str) ->
 
 
 # ---------------------------------------------------------------------------
-# spatial self-attention
+# the branch shared by SSA and CSA around their attention cores
 
-def init_ssa(store: ParamStore, init: Initializer, prefix: str, cfg: AttentionConfig):
-    c, w = cfg.channels, cfg.window
+def _init_interaction_branch(store: ParamStore, init: Initializer, prefix: str,
+                             cfg: AttentionConfig, core_name: str, core: np.ndarray):
+    """q/k/v, the core's one parameter, merge, local conv, gates, merge_out."""
+    c = cfg.channels
     for name in ("wq", "wk", "wv"):
         init_linear(store, init, f"{prefix}.{name}", c, c, bias=False)
-    store.add(f"{prefix}.rel_pos_bias", init.zeros(((2 * w - 1) ** 2, cfg.heads)))
+    store.add(f"{prefix}.{core_name}", core)
     init_linear(store, init, f"{prefix}.merge", c, c, bias=False)
-    init_depthwise_local(store, init, f"{prefix}.local", c)
+    init_conv(store, init, f"{prefix}.local", c, c, 3, groups=c)
     init_interact_spatial(store, init, f"{prefix}.gate_s", c, cfg.r1)
     init_interact_channel(store, init, f"{prefix}.gate_c", c, cfg.r2)
     init_linear(store, init, f"{prefix}.merge_out", c, c, bias=False)
+
+
+def _interact_and_merge(y: Tensor, x: Tensor, h: int, w: int, params: ParamStore,
+                        prefix: str, attn_gate: str, residual: Tensor | None) -> Tensor:
+    """Merge the attention output ``y``; gate its map by ``attn_gate`` of the
+    local branch of ``x`` and the local branch by the other gate of the map;
+    project the sum and add the residual (``x`` by default)."""
+    gates = {"gate_s": interact_spatial, "gate_c": interact_channel}
+    local_gate = "gate_c" if attn_gate == "gate_s" else "gate_s"
+    y = linear(params, f"{prefix}.merge", y)
+    local = T.gelu(conv(params, f"{prefix}.local", tokens_to_map(x, h, w),
+                        padding=1, groups=x.shape[-1]))
+    y_map = tokens_to_map(y, h, w)
+    fused = gates[attn_gate](y_map, local, params, f"{prefix}.{attn_gate}") \
+        + gates[local_gate](local, y_map, params, f"{prefix}.{local_gate}")
+    out = linear(params, f"{prefix}.merge_out", map_to_tokens(fused))
+    return out + (x if residual is None else residual)
+
+
+# ---------------------------------------------------------------------------
+# spatial self-attention
+
+def init_ssa(store: ParamStore, init: Initializer, prefix: str, cfg: AttentionConfig):
+    _init_interaction_branch(store, init, prefix, cfg, "rel_pos_bias",
+                             init.zeros(((2 * cfg.window - 1) ** 2, cfg.heads)))
 
 
 def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
@@ -211,8 +232,6 @@ def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     win = cfg.window
     if h % win or w % win:
         raise ConfigError(f"window {win} does not divide {h}x{w}")
-    if residual is None:
-        residual = x
 
     q = linear(params, f"{prefix}.wq", x)
     k = linear(params, f"{prefix}.wk", x)
@@ -229,39 +248,21 @@ def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     bias = T.getitem(params[f"{prefix}.rel_pos_bias"], idx)  # (T*T, heads)
     bias = T.transpose(T.reshape(bias, (win * win, win * win, cfg.heads)), (2, 0, 1))
     yw = _merge_heads(T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias))
-    y_sp = T.reshape(window_merge(yw, win, h, w), (b, n, c))
-    y_sp = linear(params, f"{prefix}.merge", y_sp)
-
-    y_local = depthwise_local(tokens_to_map(x, h, w), params, f"{prefix}.local")
-    sp_map = tokens_to_map(y_sp, h, w)
-    fused = interact_channel(sp_map, y_local, params, f"{prefix}.gate_c") \
-        + interact_spatial(y_local, sp_map, params, f"{prefix}.gate_s")
-    out = linear(params, f"{prefix}.merge_out", map_to_tokens(fused))
-    return out + residual
+    # passed unnamed, so the unmerged output is freed once it is merged
+    return _interact_and_merge(T.reshape(window_merge(yw, win, h, w), (b, n, c)),
+                               x, h, w, params, prefix, "gate_c", residual)
 
 
 # ---------------------------------------------------------------------------
 # channel self-attention
 
 def init_csa(store: ParamStore, init: Initializer, prefix: str, cfg: AttentionConfig):
-    c = cfg.channels
-    for name in ("wq", "wk", "wv"):
-        init_linear(store, init, f"{prefix}.{name}", c, c, bias=False)
-    store.add(f"{prefix}.alpha", init.ones((cfg.heads,)))
-    init_linear(store, init, f"{prefix}.merge", c, c, bias=False)
-    init_depthwise_local(store, init, f"{prefix}.local", c)
-    init_interact_spatial(store, init, f"{prefix}.gate_s", c, cfg.r1)
-    init_interact_channel(store, init, f"{prefix}.gate_c", c, cfg.r2)
-    init_linear(store, init, f"{prefix}.merge_out", c, c, bias=False)
+    _init_interaction_branch(store, init, prefix, cfg, "alpha", init.ones((cfg.heads,)))
 
 
 def channel_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
                            params: ParamStore, prefix: str,
                            residual: Tensor | None = None) -> Tensor:
-    b, n, c = x.shape
-    if residual is None:
-        residual = x
-
     qh = _split_heads(linear(params, f"{prefix}.wq", x), cfg.heads)
     kh = _split_heads(linear(params, f"{prefix}.wk", x), cfg.heads)
     vh = _split_heads(linear(params, f"{prefix}.wv", x), cfg.heads)
@@ -271,14 +272,7 @@ def channel_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     gram = T.matmul(T.transpose(qh, (0, 1, 3, 2)), kh) / alpha
     attn = T.softmax(gram, axis=-1)
     y = _merge_heads(T.matmul(vh, attn))
-    y_ch = linear(params, f"{prefix}.merge", y)
-
-    y_local = depthwise_local(tokens_to_map(x, h, w), params, f"{prefix}.local")
-    ch_map = tokens_to_map(y_ch, h, w)
-    fused = interact_spatial(ch_map, y_local, params, f"{prefix}.gate_s") \
-        + interact_channel(y_local, ch_map, params, f"{prefix}.gate_c")
-    out = linear(params, f"{prefix}.merge_out", map_to_tokens(fused))
-    return out + residual
+    return _interact_and_merge(y, x, h, w, params, prefix, "gate_s", residual)
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,9 @@ def _fits(action: argparse.Action, value) -> bool:
     return isinstance(value, kinds)
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list,
-                       command: argparse.ArgumentParser):
-    """Dotted keys in the JSON file set defaults; explicit flags keep priority.
+def _apply_config_file(args: argparse.Namespace, command: argparse.ArgumentParser):
+    """Dotted keys in the JSON file become defaults of ``command``'s flags, so
+    that parsing the arguments again keeps explicit flags first.
 
     Raises ValueError for a file that is not one JSON object, for a key that
     names no flag of ``args.command`` and for a value that its flag could not
@@ -123,8 +123,6 @@ def _apply_config_file(args: argparse.Namespace, argv: list,
     if not isinstance(overrides, dict):
         raise ValueError(f"expected a JSON object, got {type(overrides).__name__}")
     flags = {a.dest: a for a in command._actions if a.dest in vars(args)}
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
     for key, value in overrides.items():
         attr = key.split(".")[-1].replace("-", "_")
         if attr not in flags:
@@ -132,8 +130,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list,
         if not _fits(flags[attr], value):
             raise ValueError(f"key {key!r}: {value!r} is not a valid value of "
                              f"--{attr.replace('_', '-')}")
-        if attr not in explicit:
-            setattr(args, attr, value)
+        command.set_defaults(**{attr: value})
 
 
 def _print_resolved(args: argparse.Namespace):
@@ -245,10 +242,11 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 2
     try:
-        _apply_config_file(args, argv, commands[args.command])
+        _apply_config_file(args, commands[args.command])
     except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         print(f"error reading config file: {e}", file=sys.stderr)
         return 2
+    args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         args.seed = _default_seed()
     _print_resolved(args)

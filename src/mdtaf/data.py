@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import bilinear_resize_array
+from .tensor import Tensor, bilinear_resize
 
 FG_FRACTION_BOUNDS = (0.05, 0.40)
 # Smallest image side per mask family: below it, a 300-draw probe accepted
@@ -298,7 +298,7 @@ def load_dataset(data_dir: str, size: Optional[int] = None) -> list:
                                 f"mask {mask8.shape} size mismatch")
             mask = (mask8 >= 128).astype(np.float32)[None]
             if size is not None and image.shape[1:] != (size, size):
-                image = bilinear_resize_array(image, size, size).astype(np.float32)
+                image = bilinear_resize(Tensor(image[None]), size, size).data[0]
                 mask = _nearest_resize(mask[0], size)[None]
             samples.append(SegSample(id=sid, image=image, mask=mask))
     return samples

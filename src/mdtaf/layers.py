@@ -12,16 +12,14 @@ from .tensor import Tensor
 
 
 def init_conv(store: ParamStore, init: Initializer, name: str,
-              cin: int, cout: int, k: int, groups: int = 1, bias: bool = True):
+              cin: int, cout: int, k: int, groups: int = 1):
     store.add(f"{name}.weight", init.trunc_normal((cout, cin // groups, k, k)))
-    if bias:
-        store.add(f"{name}.bias", init.zeros((cout,)))
+    store.add(f"{name}.bias", init.zeros((cout,)))
 
 
 def conv(params: ParamStore, name: str, x: Tensor, stride: int = 1,
          padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
-    b = params[f"{name}.bias"] if f"{name}.bias" in params else None
-    return T.conv2d(x, params[f"{name}.weight"], b, stride=stride,
+    return T.conv2d(x, params[f"{name}.weight"], params[f"{name}.bias"], stride=stride,
                     padding=padding, dilation=dilation, groups=groups)
 
 

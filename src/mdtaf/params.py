@@ -59,9 +59,10 @@ class ParamStore:
 class Initializer:
     """Seeded weight initializer: truncated normal weights, zero biases."""
 
-    def __init__(self, seed: int, std: float = 0.02):
+    std = 0.02
+
+    def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.std = std
 
     def trunc_normal(self, shape) -> np.ndarray:
         """N(0, std) resampled until every draw lies within +/- 2 std."""

@@ -429,15 +429,16 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:
-    """Zero-pad the last two axes at their high ends (divisibility alignment)."""
+    """Zero-pad a B,C,H,W map at the high ends of H and W (divisibility
+    alignment); the output is a channel-last view."""
     if ph == 0 and pw == 0:
         return a
-    width = [(0, 0)] * (a.ndim - 2) + [(0, ph), (0, pw)]
-    out = np.pad(a.data, width)
-    h, w = a.shape[-2], a.shape[-1]
+    b, c, h, w = a.shape
+    out = _zeros_map((b, c, h + ph, w + pw), a.data.dtype)
+    out[:, :, :h, :w] = a.data
 
     def vjp(g):
-        return (g[..., :h, :w],)
+        return (g[:, :, :h, :w],)
 
     return _node(out, (a,), vjp)
 
@@ -804,13 +805,6 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     # at a clamped border both columns are one: its weights still sum to 1
     m[rows, np.clip(i0 + 1, 0, n_in - 1)] += frac
     return m
-
-
-def bilinear_resize_array(x: np.ndarray, h2: int, w2: int) -> np.ndarray:
-    """Bilinear resize (align_corners=False) of the last two axes: Rh @ x @ Rw.T."""
-    rh = _resize_matrix(x.shape[-2], h2, x.dtype)
-    rw = _resize_matrix(x.shape[-1], w2, x.dtype)
-    return rh @ x @ rw.T
 
 
 def bilinear_resize(x: Tensor, h2: int, w2: int) -> Tensor:

@@ -113,10 +113,9 @@ def accuracy(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(pred == target))
 
 
-def predict_mask(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def predict_mask(logits: np.ndarray) -> np.ndarray:
     """Threshold sigmoid(logits) at 0.5, i.e. logits > 0."""
-    cut = math.log(threshold / (1.0 - threshold))
-    return (logits > cut).astype(np.uint8)
+    return (logits > 0).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,8 @@ def test_criterion_9_reproducibility(tmp_path):
         tcfg = TrainConfig(batch_size=2, max_steps=5, seed=0,
                            checkpoint_path=path)
         _, history = train(cfg, tcfg, ds)
-        blobs.append(open(path, "rb").read())
+        with open(path, "rb") as f:
+            blobs.append(f.read())
         traces.append([h["loss"] for h in history if "loss" in h])
     ok = blobs[0] == blobs[1] and traces[0] == traces[1]
     _gate("reproducibility", ok,

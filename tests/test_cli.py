@@ -129,6 +129,15 @@ def test_config_file_sets_defaults_but_flags_win(workspace, tmp_path, capsys):
     assert img.shape == (16, 16)  # config default applied
 
 
+def test_abbreviated_flag_beats_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bench.heads": 4, "bench.window": 4}))
+    assert run(["--config", str(cfg), "bench", "--kinds", "esa", "--sizes", "64",
+                "--head", "1"]) == 0
+    head = capsys.readouterr().out.splitlines()[0]
+    assert '"heads": 1' in head and '"window": 4' in head
+
+
 def test_config_file_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out_dir = tmp_path / "ds"
