@@ -113,8 +113,9 @@ def _apply_config_file(args: argparse.Namespace, command: argparse.ArgumentParse
     that parsing the arguments again keeps explicit flags first.
 
     Raises ValueError for a file that is not one JSON object, for a key that
-    names no flag of ``args.command`` and for a value that its flag could not
-    have parsed.
+    names no flag of ``args.command``, for a value that its flag could not
+    have parsed and for a key of a required flag (argparse demands the flag
+    before the file is read).
     """
     if not args.config:
         return
@@ -127,9 +128,12 @@ def _apply_config_file(args: argparse.Namespace, command: argparse.ArgumentParse
         attr = key.split(".")[-1].replace("-", "_")
         if attr not in flags:
             raise ValueError(f"key {key!r} names no flag of {args.command!r}")
+        flag = f"--{attr.replace('_', '-')}"
         if not _fits(flags[attr], value):
-            raise ValueError(f"key {key!r}: {value!r} is not a valid value of "
-                             f"--{attr.replace('_', '-')}")
+            raise ValueError(f"key {key!r}: {value!r} is not a valid value of {flag}")
+        if flags[attr].required:
+            raise ValueError(f"key {key!r}: {flag} is required, so only the command "
+                             f"line can give it")
         command.set_defaults(**{attr: value})
 
 

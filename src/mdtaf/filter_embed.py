@@ -3,7 +3,7 @@
 The embedding branch is a strided convolution producing coarse features F1.
 The filtering branch runs at the same output resolution and produces a
 single-channel sigmoid gate A that multiplies every channel of F1.  The
-branch pipeline: 1x1 entry conv to 40 channels -> grouped 3x3 conv ->
+branch pipeline: 1x1 entry conv to 40 channels -> depthwise 3x3 conv ->
 three dilated convs over channel slices 8/16/16 (dilations 1/2/3) ->
 two regularizing 3x3 convs -> small hourglass encoder-decoder ->
 1x1 compression to one channel -> sigmoid.

@@ -15,7 +15,9 @@ Feature maps have one memory order.  ``conv2d``, ``conv_transpose2d`` and
 ``bilinear_resize`` take a B,C,H,W input in any memory order, and their output
 and input gradient are channel-last views: channels innermost in memory, as
 ``tokens_to_map`` gives them, so a map becomes tokens without a copy.
-``layer_norm`` reads its input as (rows, C), and its means are GEMVs.
+``conv2d`` runs a dense conv (groups 1) or a stride-1 depthwise conv (groups
+C = Cin = Cout), and both conv ops require a bias.  ``layer_norm`` reads its
+input as (rows, C), and its means are GEMVs.
 ``softmax`` flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so
 no later GEMM reads a subnormal float, which runs many times slower.
 
@@ -125,9 +127,6 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -142,35 +141,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def backward(self):
         backward(self)
@@ -301,11 +276,6 @@ def div(a, b) -> Tensor:
 def texp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _node(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -443,27 +413,10 @@ def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node(np.asarray(out), (a,), vjp)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, a 0-d output."""
+    return _node(np.asarray(a.data.sum()), (a,),
+                 lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -658,29 +611,32 @@ def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,
     return gx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
-           padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
-    """2D cross-correlation. x: B,Cin,H,W; w: Cout,Cin/groups,Kh,Kw.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
+           dilation: int = 1, groups: int = 1) -> Tensor:
+    """2D cross-correlation plus a per-channel bias.  x: B,Cin,H,W; b: Cout.
 
-    Stride-1 depthwise convs run as kh*kw shifted multiply-adds; every other
-    conv is one (grouped) GEMM over channel-last im2col windows.  The output
-    and the input gradient are channel-last views.  Both VJPs are closures of
-    this function, so a profiler that names a VJP by its ``__qualname__``
-    charges both to ``conv2d``.
+    Two kinds run: a dense conv (``groups=1``, w: Cout,Cin,Kh,Kw), one GEMM
+    over channel-last im2col windows; and a stride-1 depthwise conv
+    (``groups == Cin == Cout``, w: C,1,Kh,Kw), kh*kw shifted multiply-adds.
+    Any other ``groups`` raises ConfigError.  The output and the input
+    gradient are channel-last views.  Both VJPs are closures of this
+    function, so a profiler that names a VJP by its ``__qualname__`` charges
+    both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
     cout, cin_g, kh, kw = w.shape
-    if cin % groups or cout % groups:
-        raise ShapeError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
-    if cin_g != cin // groups:
-        raise ShapeError(f"kernel expects {cin_g} in-channels per group, input has {cin // groups}")
+    depthwise = groups == cin == cout and stride == 1
+    if groups != 1 and not depthwise:
+        raise ConfigError(f"conv2d runs dense (groups=1) or stride-1 depthwise convs, got "
+                          f"groups={groups} at stride {stride} for {cin}->{cout} channels")
+    if cin_g * groups != cin:
+        raise ShapeError(f"kernel expects {cin_g * groups} in-channels, input has {cin}")
     ho = _conv_out_extent(h, kh, stride, padding, dilation)
     wo = _conv_out_extent(wdt, kw, stride, padding, dilation)
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
-    parents = (x, w) if b is None else (x, w, b)
 
-    if groups == cin == cout and stride == 1:
+    if depthwise:
         # Rows of the padded input are laid end to end, so each tap is one
         # contiguous shifted slice; output columns past ``wo`` are wrapped
         # garbage and are cropped.  One spare row keeps the last tap in bounds.
@@ -700,9 +656,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         rows = window(acc, 0)
         for t, off in enumerate(taps):
             rows += window(xp, off) * wt[t]
-        out = acc[..., :wo]
-        if b is not None:
-            out = out + b.data.reshape(1, cout, 1, 1)
+        out = acc[..., :wo] + b.data.reshape(1, cout, 1, 1)
 
         def vjp_depthwise(g):
             gp = _zeros_map(acc.shape, g.dtype)
@@ -716,47 +670,34 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
                 gw[:, t] = np.einsum("bhk,bhk->k", grows, window(xp, off)) \
                     .reshape(wp, cin).sum(axis=0)
             gx = gxp[:, :, padding:padding + h, padding:padding + wdt]
-            if b is None:
-                return gx, gw.reshape(w.shape)
             return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
-        return _node(out, parents, vjp_depthwise)
+        return _node(out, (x, w, b), vjp_depthwise)
 
-    cg, og = cin // groups, cout // groups
     rows = bsz * ho * wo
-    cols = _im2col(x.data, kh, kw, stride, padding, dilation, ho, wo)
-    # (groups, B*Ho*Wo, kh*kw*Cg); a free view when groups == 1
-    cols_m = cols.reshape(rows, kh * kw, groups, cg).transpose(2, 0, 1, 3) \
-        .reshape(groups, rows, kh * kw * cg)
-    w_m = w.data.reshape(groups, og, cg, kh, kw).transpose(0, 1, 3, 4, 2) \
-        .reshape(groups, og, kh * kw * cg)
-    out_m = np.matmul(cols_m, w_m.swapaxes(1, 2)).transpose(1, 0, 2).reshape(rows, cout)
-    if b is not None:
-        out_m += b.data
+    cols = _im2col(x.data, kh, kw, stride, padding, dilation, ho, wo).reshape(rows, -1)
+    w_m = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out_m = cols @ w_m.T
+    out_m += b.data
     out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def vjp(g):
         g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
-        g_m = g_rows.reshape(rows, groups, og).transpose(1, 0, 2)   # g, BHW, og
-        gw = np.matmul(g_m.swapaxes(1, 2), cols_m)                 # g, og, kh*kw*Cg
-        gw = gw.reshape(groups, og, kh, kw, cg).transpose(0, 1, 4, 2, 3).reshape(w.shape)
-        gcols = np.matmul(g_m, w_m).reshape(groups, rows, kh * kw, cg).transpose(1, 2, 0, 3)
-        gcols = gcols.reshape(bsz, ho, wo, kh, kw, cin)
+        gw = (g_rows.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+        gcols = (g_rows @ w_m).reshape(bsz, ho, wo, kh, kw, cin)
         gx = _col2im(gcols, x.shape, stride, padding, dilation)
-        if b is None:
-            return gx, gw
         return gx, gw, g_rows.sum(axis=0)
 
-    return _node(out, parents, vjp)
+    return _node(out, (x, w, b), vjp)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Transposed 2D convolution with stride = kernel and no padding.
-    x: B,Cin,H,W; w: Cin,Cout,Kh,Kw; output B,Cout,H*Kh,W*Kw.  The windows do
-    not overlap, so it is one GEMM and a depth-to-space copy that keeps
-    channels innermost (sub-pixel convolution, Shi et al. 2016,
-    arXiv:1609.05158).  The output and the input gradient are channel-last
-    views."""
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Transposed 2D convolution with stride = kernel and no padding, plus a
+    per-channel bias.  x: B,Cin,H,W; w: Cin,Cout,Kh,Kw; b: Cout; output
+    B,Cout,H*Kh,W*Kw.  The windows do not overlap, so it is one GEMM and a
+    depth-to-space copy that keeps channels innermost (sub-pixel convolution,
+    Shi et al. 2016, arXiv:1609.05158).  The output and the input gradient
+    are channel-last views."""
     bsz, cin, h, wdt = x.shape
     cin_w, cout, kh, kw = w.shape
     if cin_w != cin:
@@ -765,27 +706,26 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor
     x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
     w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
     out_m = (x_m @ w_m).reshape(bsz, h, wdt, kh, kw, cout)
-    if b is not None:
-        out_m += b.data
+    out_m += b.data
     out = out_m.transpose(0, 1, 3, 2, 4, 5).reshape(bsz, h * kh, wdt * kw, cout) \
         .transpose(0, 3, 1, 2)
-    parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
         g_m = g.transpose(0, 2, 3, 1).reshape(bsz, h, kh, wdt, kw, cout) \
             .transpose(0, 1, 3, 2, 4, 5).reshape(rows, kh * kw * cout)
         gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
         gw = (x_m.T @ g_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
-        if b is None:
-            return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return _node(out, parents, vjp)
+    return _node(out, (x, w, b), vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean per channel: B,C,H,W -> B,C,1,1."""
-    return tmean(x, axis=(2, 3), keepdims=True)
+    """Spatial mean per channel: B,C,H,W -> B,C,1,1, as one tape node."""
+    scale = x.data.dtype.type(1.0 / (x.shape[2] * x.shape[3]))
+    out = x.data.sum(axis=(2, 3), keepdims=True)
+    out *= scale
+    return _node(out, (x,), lambda g: (np.broadcast_to(g * scale, x.shape).copy(),))
 
 
 # ---------------------------------------------------------------------------

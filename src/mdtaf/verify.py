@@ -69,8 +69,8 @@ def _rand(rng, *shape):
 def check_gradients_ops(seed=0):
     rng = np.random.default_rng(seed)
     worst = {}
-    def f_conv(x, w, b):
-        return T.tsum(T.tanh(T.conv2d(x, w, b, stride=2, padding=1, dilation=2, groups=2)))
+    def f_conv(x, w, b):  # a dense conv of a channel slice, as dilated_pyramid runs
+        return T.tsum(T.tanh(T.conv2d(x[:, 2:], w, b, stride=2, padding=1, dilation=2)))
     worst["conv2d"] = grad_check(f_conv, [_rand(rng, 1, 4, 9, 9), _rand(rng, 6, 2, 3, 3),
                                           _rand(rng, 6)])
     def f_deconv(x, w, b):

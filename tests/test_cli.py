@@ -157,6 +157,17 @@ def test_config_file_errors_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_config_key_of_a_required_flag_exits_2(tmp_path, capsys):
+    # argparse demands --out before the file is read, so the key could never apply
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gen-data.out": str(tmp_path / "from_file")}))
+    out_dir = tmp_path / "ds"
+    assert run(["--config", str(cfg), "gen-data", "--out", str(out_dir), "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "gen-data.out" in err and "--out is required" in err
+    assert not out_dir.exists() and not (tmp_path / "from_file").exists()
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MDTAF_SEED", "42")
     out_dir = str(tmp_path / "ds3")

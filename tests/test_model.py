@@ -123,7 +123,7 @@ def test_decoder_equals_concat_then_fuse():
                 lambda: _concat_fuse_decoder(features, params, 32, 32)):
         for name in decoder:
             params[name].requires_grad = True
-            params[name].zero_grad()
+            params[name].grad = None
         logits = run()
         T.tsum(logits * probe).backward()
         results.append([logits.data] + [params[name].grad for name in decoder])
