@@ -12,12 +12,21 @@ class ParamStore:
 
     Insertion order is the iteration order, which makes initialization and
     optimizer traversal deterministic for a given config + seed.
+
+    The optimizer packs the store on its first call to :meth:`flat`: the
+    parameters are copied, in order, into one C-contiguous buffer, and each
+    tensor's ``data`` becomes a C-contiguous view of its slice.  The values
+    do not change, and writes through either name reach the other.  A packed
+    store takes no new parameters.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._flat: np.ndarray | None = None
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
+        if self._flat is not None:
+            raise RuntimeError(f"cannot add {name}: the store is packed")
         if name in self._params:
             raise KeyError(f"duplicate parameter name: {name}")
         t = Tensor(data, requires_grad=True)
@@ -44,6 +53,21 @@ class ParamStore:
 
     def param_count(self) -> int:
         return sum(t.size for t in self._params.values())
+
+    def flat(self) -> np.ndarray:
+        """Every parameter as one flat buffer, packing the store on first call."""
+        if self._flat is None:
+            tensors = list(self._params.values())
+            dtypes = {t.dtype for t in tensors}
+            if len(dtypes) > 1:
+                raise TypeError(f"cannot pack parameters of several dtypes: "
+                                f"{sorted(map(str, dtypes))}")
+            self._flat = np.concatenate([t.data for t in tensors], axis=None)
+            offset = 0
+            for t in tensors:
+                t.data = self._flat[offset:offset + t.size].reshape(t.shape)
+                offset += t.size
+        return self._flat
 
     def zero_grad(self):
         for t in self._params.values():

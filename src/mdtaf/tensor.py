@@ -579,19 +579,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
             ho: int, wo: int) -> np.ndarray:
     """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input.  A 1x1
     unpadded kernel's windows are the input's pixels, a free view of a
-    channel-last input; any other kernel copies one slice per tap."""
+    channel-last input; any other kernel pads the input channel-last and
+    copies every window at once from a strided view of the padded map, in
+    which a window row of kw*C floats is one run when ``dil`` is 1."""
     xl = x.transpose(0, 2, 3, 1)
     b, h, w, c = xl.shape
     if kh == kw == 1 and pad == 0:
         return xl[:, ::stride, ::stride].reshape(b, ho, wo, 1, 1, c)
     xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = xl
-    cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j] = xp[:, i * dil: i * dil + stride * ho: stride,
-                                     j * dil: j * dil + stride * wo: stride]
-    return cols
+    s0, s1, s2, s3 = xp.strides
+    # np.ndarray checks that the windows lie inside ``xp``'s buffer
+    return np.ndarray((b, ho, wo, kh, kw, c), x.dtype, xp, 0,
+                      (s0, s1 * stride, s2 * stride, s1 * dil, s2 * dil, s3)).copy()
 
 
 def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,40 +47,75 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+# Elements per AdamW block: a block's six operands (256 KB each in f32) stay
+# in cache across the passes over it.
+ADAMW_BLOCK = 65536
+
+
 @dataclass
 class OptimizerState:
+    """AdamW hyperparameters and state.  ``m``, ``v`` and ``grad`` are flat
+    arrays laid out like :meth:`ParamStore.flat`, allocated on the first
+    step; ``grad`` holds the last step's gathered gradient."""
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 1e-2
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
 
 
 def adamw_step(params: ParamStore, state: OptimizerState, lr: float):
-    """One AdamW update: decoupled weight decay, bias-corrected moments."""
+    """One AdamW update: decoupled weight decay, bias-corrected moments.
+
+    The gradients are gathered into one flat buffer and the update runs over
+    the packed parameters in blocks of ``ADAMW_BLOCK`` elements, in place, so
+    each pass over a block stays in cache.  Each element sees the operations
+    of the per-tensor form in the same order, so the result is the same.
+    """
+    flat = params.flat()
+    grads, alphas = [], []
+    for name, p in params.items():
+        if p.grad is None:
+            raise ValueError(f"parameter {name} has no gradient")
+        grads.append(p.grad)
+        if name.endswith(".alpha"):
+            alphas.append(p.data)
+    if state.m is None:
+        state.m, state.v, state.grad = (np.zeros_like(flat) for _ in range(3))
+    np.concatenate(grads, axis=None, out=state.grad)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            raise ValueError(f"parameter {name} has no gradient")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        p.data *= 1.0 - lr * state.weight_decay
-        m = state.m[name]
-        v = state.v[name]
+    decay = 1.0 - lr * state.weight_decay
+    n = flat.size
+    a_buf = np.empty(min(n, ADAMW_BLOCK), flat.dtype)
+    b_buf = np.empty_like(a_buf)
+    for lo in range(0, n, ADAMW_BLOCK):
+        hi = min(lo + ADAMW_BLOCK, n)
+        p, g, m, v = flat[lo:hi], state.grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = a_buf[:hi - lo], b_buf[:hi - lo]
+        # p = p*decay - lr*(m/c1) / (sqrt(v/c2) + eps), after the moment updates
+        p *= decay
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(1.0 - state.beta1, g, out=a)
+        m += a
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if name.endswith(".alpha"):
-            np.maximum(p.data, ALPHA_MIN, out=p.data)
+        np.multiply(1.0 - state.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        p -= a
+    for data in alphas:
+        np.maximum(data, ALPHA_MIN, out=data)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +202,11 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
           params: Optional[ParamStore] = None):
     """Run the training loop; returns (params, history).
 
-    History is a list of dicts: {"step", "lr", "loss"} per step and
-    {"step", "acc", "dice", "loss"} per evaluation, each a mean over the whole
-    dataset.  Fully deterministic given seeds.
+    History is a list of dicts: {"step", "lr", "loss", "grad_norm",
+    "param_norm"} per step, the norms taken over every parameter's gradient
+    and, after the update, over every parameter; and {"step", "acc", "dice",
+    "loss"} per evaluation, each a mean over the whole dataset.  Fully
+    deterministic given seeds.
     """
     from .model import init_params  # local import avoids a cycle at module load
 
@@ -200,7 +237,9 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
                 raise TrainingDiverged(f"non-finite loss at step {step}")
             loss.backward()
             adamw_step(params, opt, lr)
-            history.append({"step": step, "lr": lr, "loss": loss_val})
+            history.append({"step": step, "lr": lr, "loss": loss_val,
+                            "grad_norm": float(np.linalg.norm(opt.grad)),
+                            "param_norm": float(np.linalg.norm(params.flat()))})
             step += 1
             if train_cfg.eval_interval and step % train_cfg.eval_interval == 0:
                 m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)

@@ -509,6 +509,41 @@ def test_1x1_conv_reads_a_channel_last_input_in_place():
     assert np.shares_memory(T._im2col(x.data, 1, 1, 1, 0, 1, 5, 6), x.data)
 
 
+def _im2col_oracle(x, kh, kw, stride, pad, dil, ho, wo):
+    # one strided slice copy per tap of the zero-padded channel-last map
+    xl = x.transpose(0, 2, 3, 1)
+    b, h, w, c = xl.shape
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = xl
+    cols = np.empty((b, ho, wo, kh, kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j] = xp[:, i * dil: i * dil + stride * ho: stride,
+                                     j * dil: j * dil + stride * wo: stride]
+    return cols
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,stride,pad,dil", [
+    (3, 1, 1, 1), (3, 2, 1, 1), (3, 1, 2, 2), (3, 1, 0, 3), (3, 2, 2, 2), (2, 2, 0, 1),
+    (1, 2, 0, 1), (1, 2, 1, 1), (1, 1, 1, 1)])
+@pytest.mark.parametrize("channel_last", [False, True], ids=["nchw", "nhwc_view"])
+def test_im2col_matches_per_tap_oracle(k, stride, pad, dil, dtype, channel_last):
+    rng = np.random.default_rng(k * 100 + stride * 10 + pad + dil)
+    if channel_last:
+        x = rng.normal(size=(2, 7, 9, 3)).astype(dtype).transpose(0, 3, 1, 2)
+    else:
+        x = rng.normal(size=(2, 3, 7, 9)).astype(dtype)
+    ho = T._conv_out_extent(7, k, stride, pad, dil)
+    wo = T._conv_out_extent(9, k, stride, pad, dil)
+    cols = T._im2col(x, k, k, stride, pad, dil, ho, wo)
+    want = _im2col_oracle(x, k, k, stride, pad, dil, ho, wo)
+    assert cols.dtype == want.dtype and cols.shape == want.shape
+    assert cols.tobytes() == want.tobytes()
+    if k > 1 or pad > 0:
+        assert cols.flags.c_contiguous and not np.shares_memory(cols, x)
+
+
 def test_linear_is_one_tape_node():
     rng = np.random.default_rng(4)
     x, w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 3, 5), (5, 4), (4,)))

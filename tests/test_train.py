@@ -6,6 +6,7 @@ loss against closed-form values and finite differences.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from mdtaf.attention import ALPHA_MIN
 from mdtaf.data import SegSample
 from mdtaf.gradcheck import grad_check
-from mdtaf.model import tiny_config
+from mdtaf.model import desk_config, init_params, model_forward, tiny_config
 from mdtaf.params import ParamStore
 from mdtaf.tensor import ConfigError, ShapeError, Tensor
 from mdtaf.train import (Metrics, OptimizerState, TrainConfig, TrainingDiverged,
@@ -145,6 +146,92 @@ def test_adamw_requires_gradients():
         adamw_step(store, OptimizerState(), lr=0.1)
 
 
+def _adamw_per_tensor(arrays, grads, m, v, step, lr, weight_decay=1e-2):
+    """The per-tensor AdamW loop, the reference for the blocked update."""
+    c1 = 1.0 - 0.9 ** step
+    c2 = 1.0 - 0.999 ** step
+    for name, p in arrays.items():
+        g = grads[name]
+        if name not in m:
+            m[name] = np.zeros_like(p)
+            v[name] = np.zeros_like(p)
+        p *= 1.0 - lr * weight_decay
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * g * g
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
+        if name.endswith(".alpha"):
+            np.maximum(p, ALPHA_MIN, out=p)
+
+
+def test_blocked_adamw_matches_per_tensor_loop_bytewise():
+    rng = np.random.default_rng(0)
+    shapes = {"a.w": (40, 40, 3, 3), "b.w": (300, 200), "blk.csa.alpha": (5,),
+              "c.b": (7, 11), "d.w": (64,)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(scale=0.1, size=shape).astype(np.float32))
+    store["blk.csa.alpha"].data[:] = [ALPHA_MIN / 2, 1e-3, 2e-3, 5e-3, 1e-2]
+    # the 65,536-element block boundary falls inside b.w
+    assert store["a.w"].size < 65536 < store["a.w"].size + store["b.w"].size
+    ref = {name: t.data.copy() for name, t in store.items()}
+    m, v = {}, {}
+    state = OptimizerState()
+    for step, lr in enumerate((3e-2, 2e-2, 1e-2), start=1):
+        grads = {name: rng.normal(size=t.shape).astype(np.float32) for name, t in store.items()}
+        grads["blk.csa.alpha"][:] = 50.0  # drives every temperature below ALPHA_MIN
+        for name, t in store.items():
+            t.grad = grads[name]
+        adamw_step(store, state, lr)
+        _adamw_per_tensor(ref, grads, m, v, step, lr)
+        for name, t in store.items():
+            assert t.data.tobytes() == ref[name].tobytes(), (step, name)
+    assert np.all(store["blk.csa.alpha"].data == ALPHA_MIN)
+    flat = store.flat()
+    assert flat.size == sum(t.size for t in store.tensors())
+    for t in store.tensors():
+        assert t.data.flags.c_contiguous and t.data.base is flat
+
+
+def test_param_store_refuses_new_parameters_once_packed():
+    store = ParamStore()
+    store.add("w", np.ones((2, 3), np.float32))
+    flat = store.flat()
+    assert store.flat() is flat
+    with pytest.raises(RuntimeError):
+        store.add("x", np.ones(1, np.float32))
+    assert store.names() == ["w"]
+
+
+def test_param_store_with_mixed_dtypes_cannot_pack():
+    store = ParamStore()
+    store.add("a", np.ones(3, np.float32)).grad = np.ones(3, np.float32)
+    store.add("b", np.ones(3, np.float64)).grad = np.ones(3)
+    with pytest.raises(TypeError):
+        adamw_step(store, OptimizerState(), lr=0.1)
+
+
+def test_adamw_step_allocates_less_than_a_quarter_of_the_parameters():
+    # the update runs in place over cache-sized blocks; a whole-buffer
+    # expression would allocate temporaries as large as the parameters
+    cfg = desk_config()
+    store = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    images = Tensor(rng.normal(size=(1, 1, 32, 32)).astype(np.float32))
+    masks = Tensor((rng.random((1, 1, 32, 32)) > 0.5).astype(np.float32))
+    bce_loss(model_forward(images, cfg, store), masks).backward()
+    state = OptimizerState()
+    adamw_step(store, state, lr=1e-4)
+    tracemalloc.start()
+    try:
+        adamw_step(store, state, lr=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < store.flat().nbytes / 4
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -196,8 +283,11 @@ def test_train_runs_and_reports_history(tmp_path):
                        history_path=hist_path,
                        checkpoint_path=str(tmp_path / "m.ckpt"))
     params, history = train(cfg, tcfg, ds)
-    losses = [h["loss"] for h in history if "lr" in h]
-    assert len(losses) == 3 and all(math.isfinite(v) for v in losses)
+    steps = [h for h in history if "lr" in h]
+    assert len(steps) == 3
+    assert all(set(h) == {"step", "lr", "loss", "grad_norm", "param_norm"} for h in steps)
+    assert all(math.isfinite(h[k]) and h[k] > 0
+               for h in steps for k in ("loss", "grad_norm", "param_norm"))
     evals = [h for h in history if "dice" in h]
     assert [h["step"] for h in evals] == [2, 3] and evals[-1] is history[-1]
     assert all(set(h) == {"step", "acc", "dice", "loss"} and math.isfinite(h["loss"])
