@@ -50,6 +50,9 @@ _GELU_C = 0.044715
 _GELU_S = float(np.sqrt(2.0 / np.pi))
 
 ATTENTION_TILE = 1024  # query rows per tile of the attention core
+# Elements per block of a blocked elementwise chain (AdamW, GELU): a block's
+# operands (256 KB each in f32) stay in cache across the passes over it.
+BLOCK = 65536
 
 _grad_enabled = True
 _nan_check = False
@@ -297,18 +300,36 @@ def sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
-    Evaluated in place on two buffers, from products only: numpy's generic
-    ``pow`` (``x ** 3``) is far slower on float32.
+    Evaluated in place from products only: numpy's generic ``pow``
+    (``x ** 3``) is far slower on float32.  A map of more than ``BLOCK``
+    elements runs the chain block by block over flat memory-order views of
+    the input and the output, so each block's passes stay in cache (numexpr's
+    method, https://github.com/pydata/numexpr).  ``tanh`` lands in one
+    block-sized scratch under ``no_grad`` and in a full buffer on the tape,
+    where the VJP reads it.  Every operation is elementwise, so blocking
+    changes no float.
     """
     x = a.data
-    t = x * x                                     # u = s*x*(1 + c*x^2), then tanh(u)
-    t *= _GELU_S * _GELU_C
-    t += _GELU_S
-    t *= x
-    np.tanh(t, out=t)
-    out = t + 1.0
-    out *= x
-    out *= 0.5
+    out = np.empty_like(x)
+    n = x.size
+    keep = _records((a,))
+    t = np.empty_like(x) if keep or n <= BLOCK else np.empty(BLOCK, x.dtype)
+    if n <= BLOCK:  # one block: the arrays themselves, with no ravel
+        blocks = [(x, out, t)]
+    else:
+        xf, of, tf = (v.ravel(order="K") for v in (x, out, t))
+        blocks = ((xf[lo:lo + BLOCK], of[lo:lo + BLOCK],
+                   tf[lo:lo + BLOCK] if keep else tf[:min(BLOCK, n - lo)])
+                  for lo in range(0, n, BLOCK))
+    for xb, ob, tb in blocks:
+        np.multiply(xb, xb, out=tb)               # u = s*x*(1 + c*x^2), then tanh(u)
+        tb *= _GELU_S * _GELU_C
+        tb += _GELU_S
+        tb *= xb
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= xb
+        ob *= 0.5
 
     def vjp(g):
         # d/dx = 0.5*(1 + t) + 0.5*x*(1 - t^2)*s*(1 + 3c*x^2)
@@ -445,13 +466,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     against the (..., N, M) scores.  Rows are independent, so the queries run
     in tiles of ``ATTENTION_TILE`` rows (Rabe & Staats 2021,
     arXiv:2112.05682), each writing its rows of one preallocated output.  A
-    tile's scores are scaled, biased and normalized in place, in the order
-    of the composite ``matmul * scale + bias -> softmax``, so both give the
-    same floats.  A bias is sliced by rows only where its row axis has
-    extent N.  Under ``no_grad`` every tile reuses one (..., tile, M) score
-    buffer, so the scores never take more than one tile of memory.  On the
-    tape each tile fills its rows of a full (..., N, M) probability buffer P,
-    which the VJP reads through the closed form
+    tile scales its queries (tile x d) rather than its scores (tile x M),
+    then biases, max-subtracts and exponentiates the scores E in place, and
+    divides its output rows by E's row sums only after the ``E @ v`` GEMM:
+    the deferred normalization of FlashAttention (Dao et al. 2022,
+    arXiv:2205.14135).  The floats therefore differ from the composite
+    ``matmul * scale + bias -> softmax -> matmul`` in the last bits.  A bias
+    is sliced by rows only where its row axis has extent N.  Under
+    ``no_grad`` every tile reuses one (..., tile, M) score buffer, so the
+    scores never take more than one tile of memory, and E is never
+    normalized.  On the tape each tile fills its rows of a full (..., N, M)
+    buffer and, after its GEMM, divides them by the same sums into the
+    probabilities P that the VJP reads through the closed form
     ``dS = P*dP - P*rowsum(P*dP)`` with ``dP = g v^T``.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
@@ -459,25 +485,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     scale = q.data.dtype.type(scale)  # a float64 scale would promote f32 scores
     n, m = q.shape[-2], k.shape[-2]
+    tile = min(n, ATTENTION_TILE)
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
     dtype = np.result_type(q.data, k.data)
     keep = _records(parents)
-    p = np.empty(lead + (n if keep else min(n, ATTENTION_TILE), m), dtype=dtype)
+    p = np.empty(lead + (n if keep else tile, m), dtype=dtype)
+    q_tile = np.empty(q.shape[:-2] + (tile, q.shape[-1]), dtype=q.data.dtype)
     out = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (n, v.shape[-1]),
                    dtype=np.result_type(dtype, v.data))
     kt = k.data.swapaxes(-1, -2)
     bias_rows = bias is not None and bias.ndim >= 2 and bias.shape[-2] == n
     for r0 in range(0, n, ATTENTION_TILE):
         rows = slice(r0, min(r0 + ATTENTION_TILE, n))
-        s = p[..., rows, :] if keep else p[..., :rows.stop - r0, :]
-        np.matmul(q.data[..., rows, :], kt, out=s)
-        s *= scale
+        h = rows.stop - r0
+        s = p[..., rows, :] if keep else p[..., :h, :]
+        np.matmul(np.multiply(q.data[..., rows, :], scale, out=q_tile[..., :h, :]), kt, out=s)
         if bias is not None:
             s += bias.data[..., rows, :] if bias_rows else bias.data
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        np.matmul(s, v.data, out=out[..., rows, :])
+        total = s.sum(axis=-1, keepdims=True)
+        o = out[..., rows, :]
+        np.matmul(s, v.data, out=o)
+        o /= total
+        if keep:
+            s /= total
 
     def vjp(g):
         ds = np.matmul(g, v.data.swapaxes(-1, -2))

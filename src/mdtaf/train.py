@@ -12,7 +12,7 @@ import numpy as np
 from .attention import ALPHA_MIN
 from .model import ModelConfig, model_forward, save_checkpoint
 from .params import ParamStore
-from .tensor import ConfigError, ShapeError, Tensor, no_grad, sigmoid_array
+from .tensor import BLOCK, ConfigError, ShapeError, Tensor, no_grad, sigmoid_array
 from .tensor import _node  # loss primitive shares the tape machinery
 
 DICE_EPS = 1e-6
@@ -47,11 +47,6 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-# Elements per AdamW block: a block's six operands (256 KB each in f32) stay
-# in cache across the passes over it.
-ADAMW_BLOCK = 65536
-
-
 @dataclass
 class OptimizerState:
     """AdamW hyperparameters and state.  ``m``, ``v`` and ``grad`` are flat
@@ -71,8 +66,8 @@ def adamw_step(params: ParamStore, state: OptimizerState, lr: float):
     """One AdamW update: decoupled weight decay, bias-corrected moments.
 
     The gradients are gathered into one flat buffer and the update runs over
-    the packed parameters in blocks of ``ADAMW_BLOCK`` elements, in place, so
-    each pass over a block stays in cache.  Each element sees the operations
+    the packed parameters in blocks of ``tensor.BLOCK`` elements, in place,
+    so each pass over a block stays in cache.  Each element sees the operations
     of the per-tensor form in the same order, so the result is the same.
     """
     flat = params.flat()
@@ -92,10 +87,10 @@ def adamw_step(params: ParamStore, state: OptimizerState, lr: float):
     c2 = 1.0 - state.beta2 ** t
     decay = 1.0 - lr * state.weight_decay
     n = flat.size
-    a_buf = np.empty(min(n, ADAMW_BLOCK), flat.dtype)
+    a_buf = np.empty(min(n, BLOCK), flat.dtype)
     b_buf = np.empty_like(a_buf)
-    for lo in range(0, n, ADAMW_BLOCK):
-        hi = min(lo + ADAMW_BLOCK, n)
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
         p, g, m, v = flat[lo:hi], state.grad[lo:hi], state.m[lo:hi], state.v[lo:hi]
         a, b = a_buf[:hi - lo], b_buf[:hi - lo]
         # p = p*decay - lr*(m/c1) / (sqrt(v/c2) + eps), after the moment updates

@@ -191,6 +191,16 @@ def _attention_composite(q, k, v, scale, bias=None):
     return T.matmul(T.softmax(s, axis=-1), v)
 
 
+def _attention_deferred(q, k, v, scale, bias=None):
+    # the op's order in plain numpy: q scaled before the GEMM, rows
+    # normalized after E @ v
+    s = (q * q.dtype.type(scale)) @ k.swapaxes(-1, -2)
+    if bias is not None:
+        s = s + bias
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return (e @ v) / e.sum(axis=-1, keepdims=True)
+
+
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_attention_matches_composite_f32(with_bias):
     rng = np.random.default_rng(7)
@@ -210,8 +220,9 @@ def test_attention_matches_composite_f32(with_bias):
         T.tsum(y * probe).backward()
         res.append(y.data.copy())
         res.extend(t.grad.copy() for t in leaves)
-    assert np.array_equal(got[0], want[0])  # same floats, same op order
-    for a, b in zip(got[1:], want[1:]):
+    assert np.array_equal(got[0], _attention_deferred(*(t.data for t in leaves[:3]), scale,
+                                                      *(t.data for t in leaves[3:])))
+    for a, b in zip(got, want):
         assert a.dtype == np.float32
         assert np.abs(a - b).max() / max(1.0, np.abs(b).max()) < TOL
 
@@ -244,7 +255,9 @@ def test_attention_tiles_match_grad_mode_and_composite(with_bias):
         want = _attention_composite(args[0], args[1], args[2], 0.35, *args[3:])
     assert tracked.requires_grad and not free.requires_grad
     assert np.array_equal(free.data, tracked.data)
-    assert np.array_equal(free.data, want.data)  # same floats, same op order
+    assert np.array_equal(free.data, _attention_deferred(*(t.data for t in args[:3]), 0.35,
+                                                         *(t.data for t in args[3:])))
+    assert np.abs(free.data - want.data).max() / max(1.0, np.abs(want.data).max()) < TOL
 
 
 @pytest.mark.parametrize("with_bias", [False, True])
@@ -278,6 +291,76 @@ def test_attention_no_grad_scores_take_one_tile():
     finally:
         tracemalloc.stop()
     assert peak < full_scores
+
+
+# ---------------------------------------------------------------------------
+# GELU in blocks of T.BLOCK elements
+
+def _gelu_one_shot(x, g):
+    # the chain over whole arrays, unblocked: output and input gradient
+    s, c = float(np.sqrt(2.0 / np.pi)), 0.044715
+    t = x * x
+    t *= s * c
+    t += s
+    t *= x
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+    d = x * x
+    d *= 1.5 * c * s
+    d += 0.5 * s
+    d *= x
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    d *= sech2
+    d += 0.5 * t
+    d += 0.5
+    d *= g
+    return out, d
+
+
+_GELU_MAPS = {  # leaf shape, then the view of it that gelu reads: axes, basic index
+    "c_order": ((1, 3 * T.BLOCK + 77), (0, 1), ...),  # three blocks and a ragged tail
+    "channel_last": ((2, 32, 32, 72), (0, 3, 1, 2), ...),  # B,C,H,W as conv2d returns it
+    "strided": ((3, 200, 300), (0, 1, 2), np.s_[:, 1:, ::2]),  # not dense
+    "one_block": ((4, 5, 6), (0, 1, 2), ...),  # the arrays themselves
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GELU_MAPS))
+def test_gelu_blocks_match_one_shot_chain_bitwise(case):
+    shape, axes, key = _GELU_MAPS[case]
+    rng = np.random.default_rng(4)
+    leaf = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    x = T.getitem(T.transpose(leaf, axes), key)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    want, want_grad = _gelu_one_shot(x.data, g)
+    y = T.gelu(x)
+    T.tsum(y * Tensor(g)).backward()
+    with no_grad():
+        free = T.gelu(x)
+    grad = np.zeros_like(leaf.data)
+    grad.transpose(axes)[key] = want_grad
+    assert y.dtype == free.dtype == np.float32
+    assert np.array_equal(y.data, want) and np.array_equal(free.data, want)
+    assert np.array_equal(leaf.grad, grad)
+
+
+def test_gelu_no_grad_scratch_takes_one_block():
+    rng = np.random.default_rng(6)
+    # channel-last map of 4.5 blocks: its memory-order view needs no copy
+    x = T.transpose(Tensor(rng.normal(size=(1, 48, 48, 128)).astype(np.float32)), (0, 3, 1, 2))
+    assert x.data.size >= 4 * T.BLOCK
+    block_bytes = T.BLOCK * x.data.itemsize
+    tracemalloc.start()
+    try:
+        with no_grad():
+            y = T.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.data.nbytes + 2 * block_bytes
 
 
 # ---------------------------------------------------------------------------
