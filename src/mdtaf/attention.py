@@ -206,8 +206,7 @@ def _interact_and_merge(y: Tensor, x: Tensor, h: int, w: int, params: ParamStore
     gates = {"gate_s": interact_spatial, "gate_c": interact_channel}
     local_gate = "gate_c" if attn_gate == "gate_s" else "gate_s"
     y = linear(params, f"{prefix}.merge", y)
-    local = T.gelu(conv(params, f"{prefix}.local", tokens_to_map(x, h, w),
-                        padding=1, groups=x.shape[-1]))
+    local = T.gelu(conv(params, f"{prefix}.local", tokens_to_map(x, h, w), padding=1))
     y_map = tokens_to_map(y, h, w)
     fused = gates[attn_gate](y_map, local, params, f"{prefix}.{attn_gate}") \
         + gates[local_gate](local, y_map, params, f"{prefix}.{local_gate}")

@@ -83,19 +83,19 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
     }
     for n in sizes:
         if n < 1:
-            raise ConfigError(f"size {n} is not positive")
+            raise ConfigError(f"--sizes: size {n} is not positive")
     rows = []
     rng = np.random.default_rng(seed)
     for n in sizes:
         x = Tensor(rng.normal(size=(1, n, channels)).astype(np.float32))
         for kind in kinds:
             if kind not in table:
-                raise ValueError(f"unknown attention kind {kind!r}")
+                raise ConfigError(f"--kinds: unknown attention kind {kind!r}")
             init, forward, flops, rknob, r, multiple = table[kind]
             side = int(round(np.sqrt(n)))  # grid side; ignored by the token kinds
             if multiple is not None and (side * side != n or side % multiple):
-                raise ValueError(f"{kind} needs square N with side divisible by "
-                                 f"{multiple}, got N={n}")
+                raise ConfigError(f"--sizes: {kind} needs square N with side divisible "
+                                  f"by {multiple}, got N={n}")
             cfg = AttentionConfig(channels, heads, reduction=r, window=window, r1=8, r2=8)
             store = ParamStore()
             init(store, Initializer(seed), "a", cfg)

@@ -28,8 +28,13 @@ from .bench import bench_attention
 from .tensor import ConfigError, Tensor, no_grad
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MDTAF_SEED", "0"))
+def _seed(flag: int | None) -> int:
+    """--seed, else MDTAF_SEED (default 0); ConfigError unless a non-negative integer."""
+    name, text = ("--seed", str(flag)) if flag is not None else \
+        ("MDTAF_SEED", os.environ.get("MDTAF_SEED", "0").strip())
+    if not text.isdecimal():
+        raise ConfigError(f"{name} {text} is not a non-negative integer")
+    return int(text)
 
 
 def _build_parser():
@@ -216,7 +221,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--sizes {args.sizes!r} is not a list of integers") from None
     rows = bench_attention(kinds, sizes, channels=args.channels,
                            heads=args.heads, reduction=args.reduction,
                            window=args.window)
@@ -251,10 +259,10 @@ def run(argv=None) -> int:
         print(f"error reading config file: {e}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
-    _print_resolved(args)
     try:
+        if hasattr(args, "seed"):
+            args.seed = _seed(args.seed)
+        _print_resolved(args)
         return _COMMANDS[args.command](args)
     except (D.DataError, M.CheckpointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -116,7 +116,7 @@ def attention_weights(x: Tensor, cfg: PatchEmbedConfig, params: ParamStore,
     """Single-channel gate A in (0,1) at the embedding's output resolution."""
     xr = conv(params, f"{prefix}.entry", x, stride=cfg.stride)
     xr = T.gelu(channel_norm(params, f"{prefix}.entry_norm", xr))
-    xg = conv(params, f"{prefix}.gwc", xr, padding=1, groups=FILTER_CHANNELS)
+    xg = conv(params, f"{prefix}.gwc", xr, padding=1)
     xg = T.gelu(channel_norm(params, f"{prefix}.gwc_norm", xg))
     v = dilated_pyramid(xg, params, prefix)
     for i in (1, 2):

@@ -18,9 +18,9 @@ def init_conv(store: ParamStore, init: Initializer, name: str,
 
 
 def conv(params: ParamStore, name: str, x: Tensor, stride: int = 1,
-         padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
+         padding: int = 0, dilation: int = 1) -> Tensor:
     return T.conv2d(x, params[f"{name}.weight"], params[f"{name}.bias"], stride=stride,
-                    padding=padding, dilation=dilation, groups=groups)
+                    padding=padding, dilation=dilation)
 
 
 def init_deconv(store: ParamStore, init: Initializer, name: str,

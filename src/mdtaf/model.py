@@ -189,9 +189,10 @@ def encoder_forward(image: Tensor, cfg: ModelConfig, params: ParamStore) -> list
     return features
 
 
-def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore,
-                out_hw: tuple | None = None) -> Tensor:
-    """Fuse the four stage features into logits at ``out_hw`` resolution.
+def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore) -> Tensor:
+    """Fuse the four stage features into logits at 4x stage 1's extent: the
+    size of the image the encoder ran on, which ``model_forward`` pads to a
+    multiple of 32.
 
     SegFormer's all-MLP head (Xie et al. 2021, arXiv:2105.15203) projects each
     stage to ``decoder_dim`` D, resizes it to stride 4, concatenates the four
@@ -205,8 +206,6 @@ def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore,
     if len(features) != 4:
         raise ShapeError(f"decoder expects 4 stage features, got {len(features)}")
     h1, w1 = features[0].shape[2], features[0].shape[3]
-    if out_hw is None:
-        out_hw = (4 * h1, 4 * w1)
     d = cfg.decoder_dim
     fuse_w = params["decoder.fuse.weight"]
     fused = None
@@ -221,10 +220,7 @@ def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore,
         fused = m if fused is None else fused + m
     fused = T.gelu(map_to_tokens(fused))
     logits = linear(params, "decoder.head", fused)
-    logits = tokens_to_map(logits, h1, w1)
-    if (h1, w1) != tuple(out_hw):
-        logits = T.bilinear_resize(logits, out_hw[0], out_hw[1])
-    return logits
+    return T.bilinear_resize(tokens_to_map(logits, h1, w1), 4 * h1, 4 * w1)
 
 
 def pad_to_multiple(image: Tensor, multiple: int = 32) -> Tensor:
@@ -244,8 +240,7 @@ def model_forward(image: Tensor, cfg: ModelConfig, params: ParamStore) -> Tensor
     h, w = image.shape[2], image.shape[3]
     padded = pad_to_multiple(image)
     features = encoder_forward(padded, cfg, params)
-    logits = mlp_decoder(features, cfg, params,
-                         out_hw=(padded.shape[2], padded.shape[3]))
+    logits = mlp_decoder(features, cfg, params)
     if (logits.shape[2], logits.shape[3]) != (h, w):
         logits = logits[:, :, :h, :w]
     return logits

@@ -15,9 +15,10 @@ Feature maps have one memory order.  ``conv2d``, ``conv_transpose2d`` and
 ``bilinear_resize`` take a B,C,H,W input in any memory order, and their output
 and input gradient are channel-last views: channels innermost in memory, as
 ``tokens_to_map`` gives them, so a map becomes tokens without a copy.
-``conv2d`` runs a dense conv (groups 1) or a stride-1 depthwise conv (groups
-C = Cin = Cout), and both conv ops require a bias.  ``layer_norm`` reads its
-input as (rows, C), and its means are GEMVs.
+``conv2d`` reads its kind from the weight's shape: a stride-1 depthwise conv
+for a C,1,Kh,Kw weight on C > 1 channels, a dense conv for any other.  Both
+conv ops require a bias.  ``layer_norm`` reads its input as (rows, C), and its
+means are GEMVs.
 ``softmax`` flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so
 no later GEMM reads a subnormal float, which runs many times slower.
 
@@ -53,6 +54,7 @@ ATTENTION_TILE = 1024  # query rows per tile of the attention core
 # Elements per block of a blocked elementwise chain (AdamW, GELU): a block's
 # operands (256 KB each in f32) stay in cache across the passes over it.
 BLOCK = 65536
+LAYER_NORM_EPS = 1e-6
 
 _grad_enabled = True
 _nan_check = False
@@ -425,7 +427,7 @@ def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:
     if ph == 0 and pw == 0:
         return a
     b, c, h, w = a.shape
-    out = _zeros_map((b, c, h + ph, w + pw), a.data.dtype)
+    out = np.zeros((b, h + ph, w + pw, c), a.data.dtype).transpose(0, 3, 1, 2)
     out[:, :, :h, :w] = a.data
 
     def vjp(g):
@@ -552,9 +554,9 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _node(out, parents, vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
-               eps: float = 1e-6) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis``, then affine.
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
+    """Normalize to zero mean / unit variance along ``axis``, then affine;
+    ``LAYER_NORM_EPS`` is added to the variance.
 
     gamma/beta hold one value per position of ``axis`` in a shape of their
     own, such as (C,) or (1,C,1,1).  The input is read as (rows, C) with
@@ -573,7 +575,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
     inv_c = np.full(c, 1.0 / c, dtype=x.data.dtype)
     x2 = xm.reshape(-1, c)
     xn = x2 - (x2 @ inv_c)[:, None]
-    rstd = (1.0 / np.sqrt((xn * xn) @ inv_c + eps))[:, None]
+    rstd = (1.0 / np.sqrt((xn * xn) @ inv_c + LAYER_NORM_EPS))[:, None]
     xn *= rstd
     out = xn * gamma.data.reshape(c)
     out += beta.data.reshape(c)
@@ -601,25 +603,30 @@ def _conv_out_extent(h: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (h + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _zeros_map(shape: tuple, dtype) -> np.ndarray:
-    """Zeroed B,C,H,W array stored channel-last."""
-    b, c, h, w = shape
-    return np.zeros((b, h, w, c), dtype).transpose(0, 3, 1, 2)
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-padded channel-last copy (B,H+2p,W+2p,C) of a B,C,H,W input."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _tap(xp: np.ndarray, i: int, j: int, ho: int, wo: int, stride: int, dil: int) -> np.ndarray:
+    """The (B,Ho,Wo,C) view of a padded channel-last map that tap (i, j) reads."""
+    return xp[:, i * dil: i * dil + stride * ho: stride, j * dil: j * dil + stride * wo: stride]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
             ho: int, wo: int) -> np.ndarray:
     """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input.  A 1x1
     unpadded kernel's windows are the input's pixels, a free view of a
-    channel-last input; any other kernel pads the input channel-last and
-    copies every window at once from a strided view of the padded map, in
-    which a window row of kw*C floats is one run when ``dil`` is 1."""
-    xl = x.transpose(0, 2, 3, 1)
-    b, h, w, c = xl.shape
+    channel-last input; any other kernel copies every window at once from a
+    strided view of the padded map, in which a window row of kw*C floats is
+    one run when ``dil`` is 1."""
+    b, c = x.shape[:2]
     if kh == kw == 1 and pad == 0:
-        return xl[:, ::stride, ::stride].reshape(b, ho, wo, 1, 1, c)
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = xl
+        return x.transpose(0, 2, 3, 1)[:, ::stride, ::stride].reshape(b, ho, wo, 1, 1, c)
+    xp = _padded(x, pad)
     s0, s1, s2, s3 = xp.strides
     # np.ndarray checks that the windows lie inside ``xp``'s buffer
     return np.ndarray((b, ho, wo, kh, kw, c), x.dtype, xp, 0,
@@ -636,72 +643,62 @@ def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,
     if kh == kw == 1 and pad == 0 and stride == 1:
         return gcols.reshape(b, h, w, c).transpose(0, 3, 1, 2)
     gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, i * dil: i * dil + stride * ho: stride,
-               j * dil: j * dil + stride * wo: stride] += gcols[:, :, :, i, j]
+    for i, j in itertools.product(range(kh), range(kw)):
+        tap = _tap(gx, i, j, ho, wo, stride, dil)
+        tap += gcols[:, :, :, i, j]
     return gx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
-           dilation: int = 1, groups: int = 1) -> Tensor:
+           dilation: int = 1) -> Tensor:
     """2D cross-correlation plus a per-channel bias.  x: B,Cin,H,W; b: Cout.
 
-    Two kinds run: a dense conv (``groups=1``, w: Cout,Cin,Kh,Kw), one GEMM
-    over channel-last im2col windows; and a stride-1 depthwise conv
-    (``groups == Cin == Cout``, w: C,1,Kh,Kw), kh*kw shifted multiply-adds.
-    Any other ``groups`` raises ConfigError.  The output and the input
-    gradient are channel-last views.  Both VJPs are closures of this
-    function, so a profiler that names a VJP by its ``__qualname__`` charges
-    both to ``conv2d``.
+    The weight's shape names the kind.  A C,1,Kh,Kw weight on C > 1 channels
+    is a depthwise conv, stride 1 only (ConfigError otherwise): per tap, one
+    multiply-add of the tap's weights, tiled along a row, over the tap's rows
+    of Wo*C floats in the padded channel-last map.  Any other weight is
+    dense, Cout,Cin,Kh,Kw with the input's Cin (ShapeError otherwise): one
+    GEMM over im2col windows.  The output and the input gradient are
+    channel-last views.  Both VJPs are closures of this function, so a
+    profiler that names a VJP by its ``__qualname__`` charges both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
-    cout, cin_g, kh, kw = w.shape
-    depthwise = groups == cin == cout and stride == 1
-    if groups != 1 and not depthwise:
-        raise ConfigError(f"conv2d runs dense (groups=1) or stride-1 depthwise convs, got "
-                          f"groups={groups} at stride {stride} for {cin}->{cout} channels")
-    if cin_g * groups != cin:
-        raise ShapeError(f"kernel expects {cin_g * groups} in-channels, input has {cin}")
+    cout, cin_w, kh, kw = w.shape
+    depthwise = cin_w == 1 and cout == cin > 1
+    if depthwise and stride != 1:
+        raise ConfigError(f"depthwise conv2d runs at stride 1 only, got stride {stride}")
+    if not depthwise and cin_w != cin:
+        raise ShapeError(f"kernel {w.shape} expects {cin_w} in-channels, input has {cin}")
     ho = _conv_out_extent(h, kh, stride, padding, dilation)
     wo = _conv_out_extent(wdt, kw, stride, padding, dilation)
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
 
     if depthwise:
-        # Rows of the padded input are laid end to end, so each tap is one
-        # contiguous shifted slice; output columns past ``wo`` are wrapped
-        # garbage and are cropped.  One spare row keeps the last tap in bounds.
-        # A pixel is C floats, and the tap weights are tiled along a row.
-        hp, wp = h + 2 * padding, wdt + 2 * padding
-        n = ho * wp
-        taps = [i * dilation * wp + j * dilation for i in range(kh) for j in range(kw)]
-        wt = np.tile(w.data.reshape(cout, kh * kw).T, (1, wp))
+        taps = list(itertools.product(range(kh), range(kw)))
+        wt = np.tile(w.data.reshape(cout, kh * kw).T, (1, wo))
 
-        def window(m, off):
-            return m.transpose(0, 2, 3, 1).reshape(bsz, -1)[:, off * cin:(off + n) * cin] \
-                .reshape(bsz, ho, wp * cin)
+        def tap_rows(m, i, j):  # tap (i, j) of a padded map, as (B, Ho, Wo*C) rows
+            return _tap(m, i, j, ho, wo, 1, dilation).reshape(bsz, ho, wo * cin)
 
-        xp = _zeros_map((bsz, cin, hp + 1, wp), x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
-        acc = _zeros_map((bsz, cout, ho, wp), x.data.dtype)
-        rows = window(acc, 0)
-        for t, off in enumerate(taps):
-            rows += window(xp, off) * wt[t]
-        out = acc[..., :wo] + b.data.reshape(1, cout, 1, 1)
+        xp = _padded(x.data, padding)
+        acc = np.zeros((bsz, ho, wo, cout), x.data.dtype)
+        acc_rows = acc.reshape(bsz, ho, wo * cout)
+        for t, (i, j) in enumerate(taps):
+            acc_rows += tap_rows(xp, i, j) * wt[t]
+        acc += b.data
+        out = acc.transpose(0, 3, 1, 2)
 
         def vjp_depthwise(g):
-            gp = _zeros_map(acc.shape, g.dtype)
-            gp[..., :wo] = g
-            grows = window(gp, 0)
-            gxp = _zeros_map(xp.shape, g.dtype)
+            grows = g.transpose(0, 2, 3, 1).reshape(bsz, ho, wo * cout)
+            gxp = np.zeros(xp.shape, g.dtype)
             gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
-            for t, off in enumerate(taps):
-                gx_rows = window(gxp, off)
+            for t, (i, j) in enumerate(taps):
+                gx_rows = tap_rows(gxp, i, j)
                 gx_rows += grows * wt[t]
-                gw[:, t] = np.einsum("bhk,bhk->k", grows, window(xp, off)) \
-                    .reshape(wp, cin).sum(axis=0)
-            gx = gxp[:, :, padding:padding + h, padding:padding + wdt]
+                gw[:, t] = np.einsum("bhk,bhk->k", grows, tap_rows(xp, i, j)) \
+                    .reshape(wo, cin).sum(axis=0)
+            gx = gxp[:, padding:padding + h, padding:padding + wdt].transpose(0, 3, 1, 2)
             return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
         return _node(out, (x, w, b), vjp_depthwise)

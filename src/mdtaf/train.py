@@ -16,6 +16,7 @@ from .tensor import BLOCK, ConfigError, ShapeError, Tensor, no_grad, sigmoid_arr
 from .tensor import _node  # loss primitive shares the tape machinery
 
 DICE_EPS = 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -49,12 +50,9 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
 
 @dataclass
 class OptimizerState:
-    """AdamW hyperparameters and state.  ``m``, ``v`` and ``grad`` are flat
+    """AdamW weight decay and state.  ``m``, ``v`` and ``grad`` are flat
     arrays laid out like :meth:`ParamStore.flat`, allocated on the first
     step; ``grad`` holds the last step's gathered gradient."""
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-2
     step: int = 0
     m: Optional[np.ndarray] = None
@@ -83,8 +81,8 @@ def adamw_step(params: ParamStore, state: OptimizerState, lr: float):
     np.concatenate(grads, axis=None, out=state.grad)
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     decay = 1.0 - lr * state.weight_decay
     n = flat.size
     a_buf = np.empty(min(n, BLOCK), flat.dtype)
@@ -95,18 +93,18 @@ def adamw_step(params: ParamStore, state: OptimizerState, lr: float):
         a, b = a_buf[:hi - lo], b_buf[:hi - lo]
         # p = p*decay - lr*(m/c1) / (sqrt(v/c2) + eps), after the moment updates
         p *= decay
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=a)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
         m += a
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
         a *= g
         v += a
         np.divide(m, c1, out=a)
         a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += ADAM_EPS
         a /= b
         p -= a
     for data in alphas:

@@ -116,10 +116,10 @@ def check_gradients_ops(seed=0):
         worst["attention"],
         grad_check(lambda q, k, v: T.tsum(T.attention(q, k, v, 0.5) * probe_tiles),
                    [_rand(rng, 1, n, 2), _rand(rng, 1, 7, 2), _rand(rng, 1, 7, 2)]))
-    # stride-1 depthwise conv (the shifted multiply-add path) on a channel-first
+    # stride-1 depthwise conv (the per-tap multiply-add path) on a channel-first
     # leaf and on a channel-last view of a B,H,W,C leaf; the channel norm on one
     def f_dw(x, w, b):
-        return T.tsum(T.tanh(T.conv2d(x, w, b, padding=2, dilation=2, groups=3)))
+        return T.tsum(T.tanh(T.conv2d(x, w, b, padding=2, dilation=2)))
     dw = [_rand(rng, 3, 1, 3, 3), _rand(rng, 3)]
     worst["conv2d"] = max(worst["conv2d"], grad_check(f_dw, [_rand(rng, 2, 3, 5, 6)] + dw),
                           grad_check(lambda x, w, b: f_dw(T.transpose(x, (0, 3, 1, 2)), w, b),
@@ -341,7 +341,7 @@ def check_shapes(seed=0):
     from .model import encoder_forward, mlp_decoder
     with no_grad():
         feats = encoder_forward(x, cfg, params)
-        logits = mlp_decoder(feats, cfg, params, out_hw=(64, 64))
+        logits = mlp_decoder(feats, cfg, params)
     want = [(1, 16, 16, 16), (1, 32, 8, 8), (1, 40, 4, 4), (1, 64, 2, 2)]
     ok = [f.shape for f in feats] == want and logits.shape == (1, 1, 64, 64)
     return ok, f"{[f.shape for f in feats]} -> {logits.shape}"

@@ -176,6 +176,22 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert '"seed": 42' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("env,argv,named", [
+    ("abc", ["gen-data", "--out", "ds"], "MDTAF_SEED abc"),
+    ("-2", ["gen-data", "--out", "ds"], "MDTAF_SEED -2"),
+    (None, ["gen-data", "--out", "ds", "--seed", "-1"], "--seed -1"),
+    (None, ["gradcheck", "--seed", "-3"], "--seed -3"),
+])
+def test_a_bad_seed_exits_2(tmp_path, capsys, monkeypatch, env, argv, named):
+    # a bad MDTAF_SEED was a bare traceback, a negative --seed an unnamed exit 1
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("MDTAF_SEED", env)
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize("size", ["0", "1"])
 def test_gen_data_rejects_a_degenerate_size(tmp_path, capsys, size):
     assert run(["gen-data", "--out", str(tmp_path / "ds"), "--size", size]) == 2
@@ -241,6 +257,15 @@ def test_gen_data_rejects_a_spec_that_cannot_work(tmp_path, capsys, flags, messa
 def test_bench_rejects_a_zero_count(capsys, flag):
     assert run(["bench", "--kinds", "esa,ssa", "--sizes", "64", f"--{flag}", "0"]) == 2
     assert ("size 0" if flag == "sizes" else f"{flag} 0") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,named", [(["--kinds", "foo"], "--kinds: unknown attention kind"),
+                                         (["--sizes", "abc"], "--sizes 'abc'"),
+                                         (["--kinds", "ssa", "--sizes", "60"], "--sizes: ssa")])
+def test_bench_rejects_kinds_and_sizes_it_cannot_run(capsys, flags, named):
+    assert run(["bench", *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_bench_emits_rows(capsys):

@@ -119,7 +119,7 @@ def test_decoder_equals_concat_then_fuse():
     probe = Tensor(rng.normal(size=(2, 1, 32, 32)))
     decoder = [name for name in params.names() if name.startswith("decoder.")]
     results = []
-    for run in (lambda: mlp_decoder(features, cfg, params, out_hw=(32, 32)),
+    for run in (lambda: mlp_decoder(features, cfg, params),
                 lambda: _concat_fuse_decoder(features, params, 32, 32)):
         for name in decoder:
             params[name].requires_grad = True
