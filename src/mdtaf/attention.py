@@ -72,18 +72,15 @@ def window_partition(x: Tensor, w: int) -> Tensor:
     b, h, wd, c = x.shape
     if h % w or wd % w:
         raise ConfigError(f"window size {w} does not divide spatial extent {h}x{wd}")
-    x = T.reshape(x, (b, h // w, w, wd // w, w, c))
-    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (b * (h // w) * (wd // w), w * w, c))
+    return T.rearrange(x, (b * (h // w) * (wd // w), w * w, c), axes=(0, 1, 3, 2, 4, 5),
+                       split=(b, h // w, w, wd // w, w, c))
 
 
 def window_merge(x: Tensor, w: int, h: int, wd: int) -> Tensor:
     """Exact inverse of :func:`window_partition`."""
-    nb = x.shape[0] // ((h // w) * (wd // w))
-    c = x.shape[-1]
-    x = T.reshape(x, (nb, h // w, wd // w, w, w, c))
-    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (nb, h, wd, c))
+    nb, c = x.shape[0] // ((h // w) * (wd // w)), x.shape[-1]
+    return T.rearrange(x, (nb, h, wd, c), axes=(0, 1, 3, 2, 4, 5),
+                       split=(nb, h // w, wd // w, w, w, c))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,12 +103,13 @@ def relative_position_index(w: int) -> np.ndarray:
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     b, n, c = x.shape
-    return T.transpose(T.reshape(x, (b, n, heads, c // heads)), (0, 2, 1, 3))
+    return T.rearrange(x, (b, heads, n, c // heads), axes=(0, 2, 1, 3),
+                       split=(b, n, heads, c // heads))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
     b, h, n, d = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, h * d))
+    return T.rearrange(x, (b, n, h * d), axes=(0, 2, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +136,10 @@ def efficient_self_attention(x: Tensor, cfg: AttentionConfig, params: ParamStore
     k = linear(params, f"{prefix}.wk", x)
     v = linear(params, f"{prefix}.wv", x)
     # spatial reduction: N x C -> N/R x (C*R) -> N/R x C
-    k = linear(params, f"{prefix}.kr", T.reshape(k, (b, n // r, c * r)))
-    v = linear(params, f"{prefix}.vr", T.reshape(v, (b, n // r, c * r)))
+    k = linear(params, f"{prefix}.kr", T.rearrange(k, (b, n // r, c * r)))
+    v = linear(params, f"{prefix}.vr", T.rearrange(v, (b, n // r, c * r)))
 
-    qh = _split_heads(q, cfg.heads)
-    kh = _split_heads(k, cfg.heads)
-    vh = _split_heads(v, cfg.heads)
+    qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
     y = _merge_heads(T.attention(qh, kh, vh, 1.0 / np.sqrt(cfg.head_dim)))
     return linear(params, f"{prefix}.proj", y) + residual
 
@@ -232,23 +228,17 @@ def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     if h % win or w % win:
         raise ConfigError(f"window {win} does not divide {h}x{w}")
 
-    q = linear(params, f"{prefix}.wq", x)
-    k = linear(params, f"{prefix}.wk", x)
-    v = linear(params, f"{prefix}.wv", x)
-
-    def windowed(t):
-        return window_partition(T.reshape(t, (b, h, w, c)), win)
-
-    qw = _split_heads(windowed(q), cfg.heads)
-    kw = _split_heads(windowed(k), cfg.heads)
-    vw = _split_heads(windowed(v), cfg.heads)
+    q, k, v = (linear(params, f"{prefix}.{name}", x) for name in ("wq", "wk", "wv"))
+    qw, kw, vw = (_split_heads(window_partition(T.rearrange(t, (b, h, w, c)), win), cfg.heads)
+                  for t in (q, k, v))
 
     idx = relative_position_index(win).reshape(-1)
     bias = T.getitem(params[f"{prefix}.rel_pos_bias"], idx)  # (T*T, heads)
-    bias = T.transpose(T.reshape(bias, (win * win, win * win, cfg.heads)), (2, 0, 1))
+    bias = T.rearrange(bias, (cfg.heads, win * win, win * win), axes=(2, 0, 1),
+                       split=(win * win, win * win, cfg.heads))
     yw = _merge_heads(T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias))
     # passed unnamed, so the unmerged output is freed once it is merged
-    return _interact_and_merge(T.reshape(window_merge(yw, win, h, w), (b, n, c)),
+    return _interact_and_merge(T.rearrange(window_merge(yw, win, h, w), (b, n, c)),
                                x, h, w, params, prefix, "gate_c", residual)
 
 
@@ -262,13 +252,16 @@ def init_csa(store: ParamStore, init: Initializer, prefix: str, cfg: AttentionCo
 def channel_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
                            params: ParamStore, prefix: str,
                            residual: Tensor | None = None) -> Tensor:
-    qh = _split_heads(linear(params, f"{prefix}.wq", x), cfg.heads)
+    b, n, _ = x.shape
+    # q straight to its (b, heads, d, n) Gram form; its linear still runs first
+    qt = T.rearrange(linear(params, f"{prefix}.wq", x), (b, cfg.heads, cfg.head_dim, n),
+                     axes=(0, 2, 3, 1), split=(b, n, cfg.heads, cfg.head_dim))
     kh = _split_heads(linear(params, f"{prefix}.wk", x), cfg.heads)
     vh = _split_heads(linear(params, f"{prefix}.wv", x), cfg.heads)
 
-    alpha = T.reshape(params[f"{prefix}.alpha"], (1, cfg.heads, 1, 1))
+    alpha = T.rearrange(params[f"{prefix}.alpha"], (1, cfg.heads, 1, 1))
     # (d x d) Gram attention over channels, softmax along the last channel axis
-    gram = T.matmul(T.transpose(qh, (0, 1, 3, 2)), kh) / alpha
+    gram = T.matmul(qt, kh) / alpha
     attn = T.softmax(gram, axis=-1)
     y = _merge_heads(T.matmul(vh, attn))
     return _interact_and_merge(y, x, h, w, params, prefix, "gate_s", residual)

@@ -8,6 +8,7 @@ forward, run apart from the timed ones so that tracing does not slow them.
 
 from __future__ import annotations
 
+import functools
 import time
 import tracemalloc
 
@@ -81,12 +82,11 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
         "ssa": (init_ssa, ssa, lambda n: flops_ssa(n, channels, window), window, 1, window),
         "csa": (init_csa, csa, lambda n: flops_csa(n, channels, heads), heads, 1, 1),
     }
+    rows, forwards = [], []
+    rng = np.random.default_rng(seed)
     for n in sizes:
         if n < 1:
             raise ConfigError(f"--sizes: size {n} is not positive")
-    rows = []
-    rng = np.random.default_rng(seed)
-    for n in sizes:
         x = Tensor(rng.normal(size=(1, n, channels)).astype(np.float32))
         for kind in kinds:
             if kind not in table:
@@ -99,12 +99,10 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
             cfg = AttentionConfig(channels, heads, reduction=r, window=window, r1=8, r2=8)
             store = ParamStore()
             init(store, Initializer(seed), "a", cfg)
-
-            def fwd():
-                with no_grad():
-                    forward(x, side, cfg, store)
-
+            forwards.append(functools.partial(forward, x, side, cfg, store))
             rows.append({"kind": kind, "N": n, "C": channels, "R_or_w": rknob,
-                         "flops_estimate": flops(n), "wall_ms": _time(fwd),
-                         "peak_mb": _peak_mb(fwd)})
+                         "flops_estimate": flops(n)})
+    with no_grad():  # no row is timed before every input is checked
+        for row, fwd in zip(rows, forwards):
+            row.update(wall_ms=_time(fwd), peak_mb=_peak_mb(fwd))
     return rows

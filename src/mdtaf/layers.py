@@ -68,10 +68,10 @@ def token_norm(params: ParamStore, name: str, x: Tensor) -> Tensor:
 def tokens_to_map(x: Tensor, h: int, w: int) -> Tensor:
     """B,N,C tokens -> B,C,H,W map (row-major token order)."""
     b, n, c = x.shape
-    return T.transpose(T.reshape(x, (b, h, w, c)), (0, 3, 1, 2))
+    return T.rearrange(x, (b, c, h, w), axes=(0, 3, 1, 2), split=(b, h, w, c))
 
 
 def map_to_tokens(x: Tensor) -> Tensor:
     """B,C,H,W map -> B,N,C tokens (row-major spatial order)."""
     b, c, h, w = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 3, 1)), (b, h * w, c))
+    return T.rearrange(x, (b, h * w, c), axes=(0, 2, 3, 1))

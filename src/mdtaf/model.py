@@ -65,14 +65,9 @@ class ModelConfig:
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         """Inverse of ``to_dict`` for a checkpoint's config.  A missing or
-        unknown key raises :class:`CheckpointCorruptError`.  ``eq17_literal``,
-        a removed block variant without the MLP residual, is accepted while
-        false, because checkpoints written before its removal hold it."""
+        unknown key raises :class:`CheckpointCorruptError`."""
         if not isinstance(d, dict):
             raise CheckpointCorruptError(f"checkpoint config is a {type(d).__name__}, not an object")
-        d = dict(d)
-        if d.pop("eq17_literal", False) is not False:
-            raise CheckpointCorruptError("checkpoint config sets eq17_literal, a removed block variant")
         fields = {f.name for f in dataclasses.fields(ModelConfig)}
         bad = sorted(set(d) ^ fields)
         if bad:

@@ -3,10 +3,10 @@
 Tensors wrap numpy arrays (float32 by default, float64 for gradient
 verification).  A leaf -- a ``Tensor(...)`` built from user data or a
 parameter -- holds a C-contiguous array.  An op output keeps the array numpy
-returned, without a copy: ``transpose``, ``reshape`` and basic-key
-``getitem`` give views of their input, and elementwise ops keep its memory
-order, so switching between token and map layouts costs nothing.  Because an
-op output may share memory with its inputs, only leaves may be written in
+returned, without a copy: ``rearrange``, the one layout op, and basic-key
+``getitem`` give views of their input wherever numpy can, and elementwise ops
+keep its memory order, so token and map layouts switch at no cost.  Because
+an op output may share memory with its inputs, only leaves may be written in
 place.  Every differentiable operation records its parents and a
 vector-Jacobian closure; ``backward`` replays the tape in reverse creation
 order, which keeps gradient accumulation deterministic.
@@ -28,6 +28,7 @@ B x N x C.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
@@ -371,18 +372,20 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # structural ops
 
-def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    old = a.shape
-    out = a.data.reshape(shape)
-    return _node(out, (a,), lambda g: (g.reshape(old),))
+def rearrange(a: Tensor, shape, axes=None, split=None) -> Tensor:
+    """The one layout op: reshape to ``split``, permute by ``axes`` (each when
+    given), reshape to ``shape``; a view of ``a`` wherever numpy can give one.
+    The VJP runs the inverse chain back to ``a.shape``."""
+    x = a.data if split is None else a.data.reshape(split)
+    x = x if axes is None else x.transpose(axes)
+    old, mid = a.shape, x.shape
 
+    def vjp(g):  # the inverse permutation is an argsort, in plain Python
+        g = g.reshape(mid)
+        g = g if axes is None else g.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+        return (g.reshape(old),)
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    return _node(x.reshape(shape), (a,), vjp)
 
 
 def _is_basic_index(key) -> bool:
@@ -554,6 +557,14 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _node(out, parents, vjp)
 
 
+@functools.lru_cache(maxsize=None)
+def _mean_vector(c: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only ``1/c`` vector whose GEMV is a mean over ``c`` values."""
+    v = np.full(c, 1.0 / c, dtype=dtype)
+    v.flags.writeable = False
+    return v
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then affine;
     ``LAYER_NORM_EPS`` is added to the variance.
@@ -572,7 +583,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     back = (*range(ax), x.ndim - 1, *range(ax, x.ndim - 1))
     xm = x.data.transpose(order)
     c = xm.shape[-1]
-    inv_c = np.full(c, 1.0 / c, dtype=x.data.dtype)
+    inv_c = _mean_vector(c, x.data.dtype)
     x2 = xm.reshape(-1, c)
     xn = x2 - (x2 @ inv_c)[:, None]
     rstd = (1.0 / np.sqrt((xn * xn) @ inv_c + LAYER_NORM_EPS))[:, None]

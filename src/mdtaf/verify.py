@@ -122,10 +122,10 @@ def check_gradients_ops(seed=0):
         return T.tsum(T.tanh(T.conv2d(x, w, b, padding=2, dilation=2)))
     dw = [_rand(rng, 3, 1, 3, 3), _rand(rng, 3)]
     worst["conv2d"] = max(worst["conv2d"], grad_check(f_dw, [_rand(rng, 2, 3, 5, 6)] + dw),
-                          grad_check(lambda x, w, b: f_dw(T.transpose(x, (0, 3, 1, 2)), w, b),
+                          grad_check(lambda x, w, b: f_dw(T.rearrange(x, (2, 3, 5, 6), axes=(0, 3, 1, 2)), w, b),
                                      [_rand(rng, 2, 5, 6, 3)] + dw))
     worst["layer_norm"] = max(worst["layer_norm"], grad_check(
-        lambda x, g, b: T.tsum(T.tanh(T.layer_norm(T.transpose(x, (0, 3, 1, 2)), g, b, axis=1))),
+        lambda x, g, b: T.tsum(T.tanh(T.layer_norm(T.rearrange(x, (2, 5, 3, 4), axes=(0, 3, 1, 2)), g, b, axis=1))),
         [_rand(rng, 2, 3, 4, 5), _rand(rng, 1, 5, 1, 1), _rand(rng, 1, 5, 1, 1)]))
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     detail = ", ".join(f"{k}={v:.2e}" for k, v in sorted(worst.items()))

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,19 @@ def test_bench_rejects_a_zero_count(capsys, flag):
                                          (["--kinds", "ssa", "--sizes", "60"], "--sizes: ssa")])
 def test_bench_rejects_kinds_and_sizes_it_cannot_run(capsys, flags, named):
     assert run(["bench", *flags]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kinds,sizes,named", [("esa,foo", "64", "'foo'"),
+                                               ("esa,ssa", "64,60", "ssa needs square N")])
+def test_bench_checks_every_input_before_the_first_timed_row(capsys, monkeypatch,
+                                                             kinds, sizes, named):
+    def timed(fn, repeats=3):
+        raise AssertionError("a row was timed before every input was checked")
+
+    monkeypatch.setattr(sys.modules["mdtaf.bench"], "_time", timed)
+    assert run(["bench", "--kinds", kinds, "--sizes", sizes]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
 

@@ -256,13 +256,16 @@ def test_checkpoint_config_keys(tmp_path):
     cfg = tiny_config()
     path = str(tmp_path / "k.ckpt")
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
-    # checkpoints written before the eq17_literal field was removed hold it, false
+    # a removed field is an unknown key, whatever its value
     _edit_checkpoint_config(path, lambda d: d.update(eq17_literal=False))
-    assert load_checkpoint(path)[1] == cfg
-    _edit_checkpoint_config(path, lambda d: d.update(eq17_literal=True))
-    with pytest.raises(CheckpointCorruptError, match="eq17_literal"):
+    with pytest.raises(CheckpointCorruptError, match="has unknown key 'eq17_literal'"):
         load_checkpoint(path)
-    _edit_checkpoint_config(path, lambda d: d.update(eq17_literal=False, stage_chanels=[1]))
+
+    def misspell_channels(d):
+        del d["eq17_literal"]
+        d["stage_chanels"] = [1]
+
+    _edit_checkpoint_config(path, misspell_channels)
     with pytest.raises(CheckpointCorruptError, match="unknown key 'stage_chanels'"):
         load_checkpoint(path)
 

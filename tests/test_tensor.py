@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from mdtaf import tensor as T
 from mdtaf import verify
+from mdtaf.attention import _merge_heads, _split_heads, window_merge, window_partition
 from mdtaf.data import SegSample
 from mdtaf.gradcheck import grad_check, relative_error
-from mdtaf.model import tiny_config
+from mdtaf.layers import map_to_tokens, tokens_to_map
+from mdtaf.model import desk_config, init_params, model_forward, tiny_config
 from mdtaf.tensor import (ConfigError, GraphError, ShapeError, Tensor, nan_check, no_grad)
 from mdtaf.train import TrainConfig, train
 
@@ -76,12 +78,20 @@ def test_grad_sum_mean_axes():
 # ---------------------------------------------------------------------------
 # shape ops
 
+def _permute(x, axes):
+    """``x`` permuted by ``axes``, as one ``rearrange`` node."""
+    return T.rearrange(x, tuple(x.shape[a] for a in axes), axes=axes)
+
+
 def test_grad_reshape_transpose():
+    # rearrange's three forms: reshape; permute and reshape; reshape, permute
+    # and reshape.  Neither permutation is its own inverse.
     x = _t(2, 3, 4)
-    probe = Tensor(RNG.normal(size=(4, 6)))
-    assert grad_check(
-        lambda x: T.tsum(T.reshape(T.transpose(x, (2, 0, 1)), (4, 6)) * probe),
-        [x]) < TOL
+    for shape, axes, split in [((4, 6), None, None), ((4, 6), (2, 0, 1), None),
+                               ((3, 4, 2), (2, 0, 3, 1), (2, 3, 2, 2))]:
+        probe = Tensor(RNG.normal(size=shape))
+        assert grad_check(lambda x: T.tsum(T.rearrange(x, shape, axes, split) * probe),
+                          [x]) < TOL
 
 
 @pytest.mark.parametrize("key", [
@@ -185,7 +195,7 @@ def test_layer_norm_is_one_tape_node():
 
 def _attention_composite(q, k, v, scale, bias=None):
     # the ESA/SSA chain as it was built from separate tape ops
-    s = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale
+    s = T.matmul(q, _permute(k, (0, 1, 3, 2))) * scale
     if bias is not None:
         s = s + bias
     return T.matmul(T.softmax(s, axis=-1), v)
@@ -333,7 +343,7 @@ def test_gelu_blocks_match_one_shot_chain_bitwise(case):
     shape, axes, key = _GELU_MAPS[case]
     rng = np.random.default_rng(4)
     leaf = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-    x = T.getitem(T.transpose(leaf, axes), key)
+    x = T.getitem(_permute(leaf, axes), key)
     g = rng.normal(size=x.shape).astype(np.float32)
     want, want_grad = _gelu_one_shot(x.data, g)
     y = T.gelu(x)
@@ -350,7 +360,7 @@ def test_gelu_blocks_match_one_shot_chain_bitwise(case):
 def test_gelu_no_grad_scratch_takes_one_block():
     rng = np.random.default_rng(6)
     # channel-last map of 4.5 blocks: its memory-order view needs no copy
-    x = T.transpose(Tensor(rng.normal(size=(1, 48, 48, 128)).astype(np.float32)), (0, 3, 1, 2))
+    x = _permute(Tensor(rng.normal(size=(1, 48, 48, 128)).astype(np.float32)), (0, 3, 1, 2))
     assert x.data.size >= 4 * T.BLOCK
     block_bytes = T.BLOCK * x.data.itemsize
     tracemalloc.start()
@@ -589,9 +599,46 @@ def test_bilinear_resize_preserves_constants():
 
 def test_layout_ops_return_views():
     x = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4)), requires_grad=True)
-    for y in (T.transpose(x, (2, 0, 1)), T.reshape(x, (6, 4)),
+    for y in (_permute(x, (2, 0, 1)), T.rearrange(x, (6, 4)),
               T.getitem(x, (slice(None), 1)), x[:, :, 1:3], x[None, ..., ::2]):
         assert np.shares_memory(y.data, x.data)
+
+
+@pytest.fixture
+def tape_nodes(monkeypatch):
+    """The count of tape nodes made since the fixture was set up."""
+    made = [0]
+    node = T._node
+
+    def counted(*args):
+        made[0] += 1
+        return node(*args)
+
+    monkeypatch.setattr(T, "_node", counted)
+    return made
+
+
+@pytest.mark.parametrize("helper,shape", [
+    (lambda x: tokens_to_map(x, 4, 6), (2, 24, 3)),
+    (map_to_tokens, (2, 3, 4, 6)),
+    (lambda x: _split_heads(x, 2), (2, 5, 6)),
+    (_merge_heads, (2, 2, 5, 3)),
+    (lambda x: window_partition(x, 2), (2, 4, 6, 3)),
+    (lambda x: window_merge(x, 2, 4, 6), (12, 4, 3)),
+], ids=["tokens_to_map", "map_to_tokens", "split_heads", "merge_heads",
+        "window_partition", "window_merge"])
+def test_layout_helpers_record_one_node(helper, shape, tape_nodes):
+    x = Tensor(np.random.default_rng(2).normal(size=shape), requires_grad=True)
+    y = helper(x)
+    assert tape_nodes[0] == 1 and y._parents == (x,)
+
+
+@pytest.mark.parametrize("preset,size,most", [(tiny_config, 32, 583), (desk_config, 64, 581)])
+def test_forward_tape_size(preset, size, most, tape_nodes):
+    # a grad-mode forward, with each layout helper one node
+    cfg = preset()
+    model_forward(Tensor(np.zeros((1, 1, size, size))), cfg, init_params(cfg, seed=0))
+    assert tape_nodes[0] <= most
 
 
 def _axes_by_stride(a):
@@ -623,7 +670,7 @@ def test_conv_deconv_and_resize_return_channel_last_views(op):
     # a channel-last view (as tokens_to_map gives) and a compact B,C,H,W leaf
     # both give a channel-last output and input gradient
     leaf = Tensor(_RNG3.normal(size=(2, 5, 6, 4)), requires_grad=True)
-    for x in (T.transpose(leaf, (0, 3, 1, 2)),
+    for x in (_permute(leaf, (0, 3, 1, 2)),
               Tensor(_RNG3.normal(size=(2, 4, 5, 6)), requires_grad=True)):
         y = op(x)
         assert _axes_by_stride(y.data) == (0, 2, 3, 1)
@@ -632,7 +679,7 @@ def test_conv_deconv_and_resize_return_channel_last_views(op):
 
 
 def test_1x1_conv_reads_a_channel_last_input_in_place():
-    x = T.transpose(Tensor(np.random.default_rng(4).normal(size=(2, 5, 6, 4))), (0, 3, 1, 2))
+    x = _permute(Tensor(np.random.default_rng(4).normal(size=(2, 5, 6, 4))), (0, 3, 1, 2))
     assert np.shares_memory(T._im2col(x.data, 1, 1, 1, 0, 1, 5, 6), x.data)
 
 
@@ -689,7 +736,7 @@ def test_leaf_from_a_transposed_array_is_contiguous():
 def test_grad_check_rejects_an_input_it_cannot_perturb(monkeypatch):
     # a non-contiguous input would be perturbed through a copy: every
     # finite difference 0, and no error without the check
-    monkeypatch.setattr(Tensor, "astype", lambda t, dtype: T.transpose(
+    monkeypatch.setattr(Tensor, "astype", lambda t, dtype: _permute(
         Tensor(t.data, requires_grad=True), (1, 0)))
     with pytest.raises(GraphError, match="not contiguous"):
         grad_check(lambda x: T.tsum(x * x), [Tensor(np.ones((3, 4)))])
@@ -719,8 +766,10 @@ _VIEW_OPS = {
     "gelu": T.gelu,
     "softmax": lambda x: T.softmax(x, axis=1),
     "tsum": T.tsum,
-    "reshape": lambda x: T.reshape(x, (6, 20)),
-    "transpose": lambda x: T.transpose(x, (0, 2, 3, 1)),
+    "rearrange": lambda x: T.rearrange(x, (6, 20)),
+    "rearrange_axes": lambda x: T.rearrange(x, (2, 4, 5, 3), axes=(0, 2, 3, 1)),
+    "rearrange_split": lambda x: T.rearrange(x, (4, 6, 5), axes=(0, 2, 1, 3, 4),
+                                             split=(2, 3, 2, 2, 5)),
     "getitem": lambda x: x[:, 1:, ::2],
     "getitem_array": lambda x: T.getitem(x, np.array([1, 0, 1])),
     "concat": lambda x: T.concat([x, x], axis=1),
@@ -744,7 +793,7 @@ def _transposed_view(shape):
     the leaf's gradient to the view's."""
     axes = tuple(reversed(range(len(shape))))
     leaf = Tensor(_VIEW_RNG.normal(size=shape[::-1]), requires_grad=True)
-    return leaf, T.transpose(leaf, axes), lambda g: g.transpose(axes)
+    return leaf, _permute(leaf, axes), lambda g: g.transpose(axes)
 
 
 def _cropped_view(shape):
@@ -756,7 +805,7 @@ def _channel_last_view(shape):
     """A B,H,W,C leaf seen as B,C,H,W, as ``tokens_to_map`` gives it."""
     b, c, h, w = shape
     leaf = Tensor(_VIEW_RNG.normal(size=(b, h, w, c)), requires_grad=True)
-    return leaf, T.transpose(leaf, (0, 3, 1, 2)), lambda g: g.transpose(0, 3, 1, 2)
+    return leaf, _permute(leaf, (0, 3, 1, 2)), lambda g: g.transpose(0, 3, 1, 2)
 
 
 @pytest.mark.parametrize("view", [_transposed_view, _cropped_view, _channel_last_view])
@@ -863,7 +912,7 @@ def test_backward_deterministic():
     def run():
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        y = T.tsum(T.softmax(T.matmul(x, T.transpose(x, (1, 0))), axis=-1))
+        y = T.tsum(T.softmax(T.matmul(x, _permute(x, (1, 0))), axis=-1))
         y.backward()
         return x.grad.copy()
 
