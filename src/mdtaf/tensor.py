@@ -615,7 +615,10 @@ def _conv_out_extent(h: int, k: int, stride: int, pad: int, dil: int) -> int:
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-padded channel-last copy (B,H+2p,W+2p,C) of a B,C,H,W input."""
+    """Zero-padded channel-last copy (B,H+2p,W+2p,C) of a B,C,H,W input.  A
+    negative ``pad`` crops -pad from each side instead."""
+    if pad < 0:
+        x, pad = x[:, :, -pad:pad, -pad:pad], 0
     b, c, h, w = x.shape
     xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
@@ -625,6 +628,21 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
 def _tap(xp: np.ndarray, i: int, j: int, ho: int, wo: int, stride: int, dil: int) -> np.ndarray:
     """The (B,Ho,Wo,C) view of a padded channel-last map that tap (i, j) reads."""
     return xp[:, i * dil: i * dil + stride * ho: stride, j * dil: j * dil + stride * wo: stride]
+
+
+def _depthwise_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int, dil: int) -> np.ndarray:
+    """Stride-1 depthwise correlation of a padded channel-last map with a
+    C,1,k,k kernel, into a contiguous (B,Ho,Wo,C) buffer: per tap in row-major
+    order, one multiply-add of the tap's weights, tiled along a row, over the
+    tap's rows of Wo*C floats."""
+    bsz, c = xp.shape[0], w.shape[0]
+    wt = np.tile(w.reshape(c, -1).T, (1, wo))
+    acc = np.zeros((bsz, ho, wo, c), xp.dtype)
+    acc_rows = acc.reshape(bsz, ho, wo * c)
+    k = w.shape[-1]
+    for t, (i, j) in enumerate(itertools.product(range(k), range(k))):
+        acc_rows += _tap(xp, i, j, ho, wo, 1, dil).reshape(bsz, ho, wo * c) * wt[t]
+    return acc
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
@@ -648,11 +666,9 @@ def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,
             dil: int) -> np.ndarray:
     """Scatter-add channel-last window gradients (B,Ho,Wo,kh,kw,C) back onto
     a B,C,H,W input, returned as a view of a channel-last buffer: the adjoint
-    of :func:`_im2col`."""
+    of :func:`_im2col`, used by strided convs."""
     b, c, h, w = xshape
     _, ho, wo, kh, kw, _ = gcols.shape
-    if kh == kw == 1 and pad == 0 and stride == 1:
-        return gcols.reshape(b, h, w, c).transpose(0, 3, 1, 2)
     gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
     for i, j in itertools.product(range(kh), range(kw)):
         tap = _tap(gx, i, j, ho, wo, stride, dil)
@@ -664,17 +680,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1) -> Tensor:
     """2D cross-correlation plus a per-channel bias.  x: B,Cin,H,W; b: Cout.
 
-    The weight's shape names the kind.  A C,1,Kh,Kw weight on C > 1 channels
-    is a depthwise conv, stride 1 only (ConfigError otherwise): per tap, one
-    multiply-add of the tap's weights, tiled along a row, over the tap's rows
-    of Wo*C floats in the padded channel-last map.  Any other weight is
-    dense, Cout,Cin,Kh,Kw with the input's Cin (ShapeError otherwise): one
-    GEMM over im2col windows.  The output and the input gradient are
-    channel-last views.  Both VJPs are closures of this function, so a
+    The weight's shape names the kind, and its kernel is square (ConfigError
+    otherwise).  A C,1,k,k weight on C > 1 channels is a depthwise conv,
+    stride 1 only (ConfigError otherwise): per tap, one multiply-add of the
+    tap's weights, tiled along a row, over the tap's rows of Wo*C floats in
+    the padded channel-last map.  Any other weight is dense, Cout,Cin,k,k
+    with the input's Cin (ShapeError otherwise): one GEMM over im2col
+    windows.  At stride 1 the input gradient is the same forward correlation
+    of the upstream gradient, padded by dilation*(k-1) - padding (a negative
+    pad crops), with the spatially flipped, channel-transposed kernel
+    (Dumoulin & Visin, arXiv:1603.07285, section 4); a strided conv's
+    is scattered back with ``_col2im``.  The output and the input gradient
+    are channel-last views.  Both VJPs are closures of this function, so a
     profiler that names a VJP by its ``__qualname__`` charges both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
     cout, cin_w, kh, kw = w.shape
+    if kh != kw:
+        raise ConfigError(f"conv2d takes square kernels only, got {kh}x{kw}")
     depthwise = cin_w == 1 and cout == cin > 1
     if depthwise and stride != 1:
         raise ConfigError(f"depthwise conv2d runs at stride 1 only, got stride {stride}")
@@ -684,33 +707,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     wo = _conv_out_extent(wdt, kw, stride, padding, dilation)
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
+    pg = dilation * (kh - 1) - padding  # the upstream gradient's pad at stride 1
 
     if depthwise:
-        taps = list(itertools.product(range(kh), range(kw)))
-        wt = np.tile(w.data.reshape(cout, kh * kw).T, (1, wo))
-
-        def tap_rows(m, i, j):  # tap (i, j) of a padded map, as (B, Ho, Wo*C) rows
-            return _tap(m, i, j, ho, wo, 1, dilation).reshape(bsz, ho, wo * cin)
-
         xp = _padded(x.data, padding)
-        acc = np.zeros((bsz, ho, wo, cout), x.data.dtype)
-        acc_rows = acc.reshape(bsz, ho, wo * cout)
-        for t, (i, j) in enumerate(taps):
-            acc_rows += tap_rows(xp, i, j) * wt[t]
+        acc = _depthwise_taps(xp, w.data, ho, wo, dilation)
         acc += b.data
         out = acc.transpose(0, 3, 1, 2)
 
         def vjp_depthwise(g):
+            gx = _depthwise_taps(_padded(g, pg), w.data[:, :, ::-1, ::-1], h, wdt, dilation)
             grows = g.transpose(0, 2, 3, 1).reshape(bsz, ho, wo * cout)
-            gxp = np.zeros(xp.shape, g.dtype)
             gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
-            for t, (i, j) in enumerate(taps):
-                gx_rows = tap_rows(gxp, i, j)
-                gx_rows += grows * wt[t]
-                gw[:, t] = np.einsum("bhk,bhk->k", grows, tap_rows(xp, i, j)) \
-                    .reshape(wo, cin).sum(axis=0)
-            gx = gxp[:, padding:padding + h, padding:padding + wdt].transpose(0, 3, 1, 2)
-            return gx, gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+            for t, (i, j) in enumerate(itertools.product(range(kh), range(kw))):
+                xrows = _tap(xp, i, j, ho, wo, 1, dilation).reshape(bsz, ho, wo * cin)
+                gw[:, t] = np.einsum("bhk,bhk->k", grows, xrows).reshape(wo, cin).sum(axis=0)
+            return gx.transpose(0, 3, 1, 2), gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
         return _node(out, (x, w, b), vjp_depthwise)
 
@@ -724,8 +736,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     def vjp(g):
         g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
         gw = (g_rows.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-        gcols = (g_rows @ w_m).reshape(bsz, ho, wo, kh, kw, cin)
-        gx = _col2im(gcols, x.shape, stride, padding, dilation)
+        if stride == 1:
+            g_cols = _im2col(g, kh, kw, 1, pg, dilation, h, wdt).reshape(bsz * h * wdt, -1)
+            w_f = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
+            gx = (g_cols @ w_f).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
+        else:
+            gcols = (g_rows @ w_m).reshape(bsz, ho, wo, kh, kw, cin)
+            gx = _col2im(gcols, x.shape, stride, padding, dilation)
         return gx, gw, g_rows.sum(axis=0)
 
     return _node(out, (x, w, b), vjp)

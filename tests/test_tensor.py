@@ -6,6 +6,7 @@ im2col fast path is never its own referee.
 """
 
 import inspect
+import itertools
 import sys
 import tracemalloc
 
@@ -420,15 +421,20 @@ def test_conv2d_matches_loop_oracle(stride, pad, dil, groups, channels):
     assert np.abs(got - _conv_oracle(x, w, b, stride, pad, dil, groups)).max() < 1e-10
 
 
-@pytest.mark.parametrize("cin,cout,stride,groups", [
-    (4, 4, 1, 2),   # a grouped (4, 2, 3, 3) weight: not the input's 4 in-channels
-    (4, 4, 2, 4),   # a depthwise (4, 1, 3, 3) weight at stride 2
-    (4, 8, 1, 4),   # an (8, 1, 3, 3) weight: depthwise with a channel multiplier
+@pytest.mark.parametrize("cin,cout,stride,groups,kernel,error,match", [
+    # a grouped (4, 2, 3, 3) weight: not the input's 4 in-channels
+    pytest.param(4, 4, 1, 2, (3, 3), ShapeError, "in-channels", id="4-4-1-2"),
+    # a depthwise (4, 1, 3, 3) weight at stride 2
+    pytest.param(4, 4, 2, 4, (3, 3), ConfigError, "stride 2", id="4-4-2-4"),
+    # an (8, 1, 3, 3) weight: depthwise with a channel multiplier
+    pytest.param(4, 8, 1, 4, (3, 3), ShapeError, "in-channels", id="4-8-1-4"),
+    # a 1x3 kernel: the stride-1 input gradient pads both axes alike
+    pytest.param(4, 4, 1, 1, (1, 3), ConfigError, "square", id="non_square"),
 ])
-def test_conv2d_rejects_settings_the_model_never_runs(cin, cout, stride, groups):
+def test_conv2d_rejects_settings_the_model_never_runs(cin, cout, stride, groups, kernel,
+                                                      error, match):
     # conv2d reads the kind from the weight's shape alone
-    x, w, b = _t(1, cin, 6, 6), _t(cout, cin // groups, 3, 3), _t(cout)
-    error, match = (ConfigError, "stride 2") if stride != 1 else (ShapeError, "in-channels")
+    x, w, b = _t(1, cin, 6, 6), _t(cout, cin // groups, *kernel), _t(cout)
     with pytest.raises(error, match=match):
         T.conv2d(x, w, b, stride=stride, padding=1)
 
@@ -436,7 +442,9 @@ def test_conv2d_rejects_settings_the_model_never_runs(cin, cout, stride, groups)
 @pytest.mark.parametrize("pad,dil", [(1, 1), (2, 2)])
 def test_depthwise_conv2d_equals_per_tap_numpy_bitwise(pad, dil):
     # pad, then sum the shifted slices times the weights in tap order: the
-    # depthwise forward and all three gradients must give the same floats
+    # depthwise forward and all three gradients must give the same floats.
+    # The input gradient is the same sum over the upstream gradient, padded
+    # by dil*(k-1) - pad, with the flipped kernel
     rng = np.random.default_rng(11)
     bsz, c, h, w = 8, 16, 16, 16
     x = rng.normal(size=(bsz, h, w, c)).astype(np.float32).transpose(0, 3, 1, 2)
@@ -446,19 +454,21 @@ def test_depthwise_conv2d_equals_per_tap_numpy_bitwise(pad, dil):
     y = T.conv2d(Tensor(x), Tensor(wt, requires_grad=True), Tensor(bias), padding=pad,
                  dilation=dil)
     xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    pg = dil * 2 - pad
+    gp = np.pad(g, ((0, 0), (pg, pg), (pg, pg), (0, 0)))
     want = np.zeros((bsz, h, w, c), np.float32)
-    gxp = np.zeros_like(xp)
+    want_gx = np.zeros((bsz, h, w, c), np.float32)
     gw = np.empty((c, 9), np.float32)
     for t, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
         tap = xp[:, i * dil:i * dil + h, j * dil:j * dil + w]
         want += tap * wt[:, 0, i, j]
-        gxp[:, i * dil:i * dil + h, j * dil:j * dil + w] += g * wt[:, 0, i, j]
+        want_gx += gp[:, i * dil:i * dil + h, j * dil:j * dil + w] * wt[:, 0, 2 - i, 2 - j]
         gw[:, t] = np.einsum("bhk,bhk->k", g.reshape(bsz, h, w * c),
                              tap.reshape(bsz, h, w * c)).reshape(w, c).sum(axis=0)
     want += bias
     gx, gwt, gb = y._vjp(g.transpose(0, 3, 1, 2))
     assert y.data.transpose(0, 2, 3, 1).tobytes() == want.tobytes()
-    assert gx.transpose(0, 2, 3, 1).tobytes() == gxp[:, pad:pad + h, pad:pad + w].tobytes()
+    assert gx.transpose(0, 2, 3, 1).tobytes() == want_gx.tobytes()
     assert gwt.tobytes() == gw.reshape(c, 1, 3, 3).tobytes()
     assert gb.tobytes() == g.transpose(0, 3, 1, 2).sum(axis=(0, 2, 3)).tobytes()
 
@@ -472,13 +482,69 @@ def test_both_conv2d_vjps_are_charged_to_conv2d():
         assert y._vjp.__qualname__.startswith("conv2d.")
 
 
-@pytest.mark.parametrize("stride,pad,dil,groups", [
-    (1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1),
-    (1, 1, 1, 4), (1, 2, 2, 4), (1, 3, 3, 4),
+# stride-1 settings whose input gradient pads the upstream gradient by
+# pg = dil*(k-1) - pad: (k, pad, dil) for pg = 2, same padding at dilations
+# 1 to 3, and pad > dil*(k-1), where pg < 0 crops it
+_STRIDE1_INPUT_GRAD = ((3, 0, 1), (3, 1, 1), (3, 2, 2), (3, 3, 3), (1, 1, 1), (3, 3, 1))
+
+
+def _conv_input_grad_oracle(g, w, pad, dil, groups, hw):
+    # scatter every output pixel's gradient back through the kernel, in float64
+    bs, cout, ho, wo = g.shape
+    _, cg, k, _ = w.shape
+    gxp = np.zeros((bs, cg * groups, hw[0] + 2 * pad, hw[1] + 2 * pad))
+    cpg = cout // groups
+    for n, co, i, j, ci, a, bb in itertools.product(
+            range(bs), range(cout), range(ho), range(wo), range(cg), range(k), range(k)):
+        gxp[n, co // cpg * cg + ci, i + a * dil, j + bb * dil] += g[n, co, i, j] * w[co, ci, a, bb]
+    return gxp[:, :, pad:pad + hw[0], pad:pad + hw[1]]
+
+
+@pytest.mark.parametrize("groups", [1, 4], ids=["dense", "depthwise"])
+@pytest.mark.parametrize("k,pad,dil", _STRIDE1_INPUT_GRAD,
+                         ids=[f"k{k}-p{p}-d{d}" for k, p, d in _STRIDE1_INPUT_GRAD])
+def test_stride1_conv2d_input_grad_matches_loop_oracle(k, pad, dil, groups):
+    rng = np.random.default_rng(k * 100 + pad * 10 + dil)
+    x = rng.normal(size=(2, 4, 6, 5))
+    w, b = rng.normal(size=(4, 4 // groups, k, k)), rng.normal(size=(4,))
+    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), padding=pad,
+                 dilation=dil)
+    g = rng.normal(size=y.shape)
+    gx = y._vjp(g)[0]
+    assert gx.shape == x.shape
+    assert np.abs(gx - _conv_input_grad_oracle(g, w, pad, dil, groups, (6, 5))).max() < 1e-10
+
+
+def test_stride1_conv2d_vjps_gather_without_col2im(monkeypatch):
+    # only a strided conv scatters its window gradients back with _col2im
+    def fail(*args):
+        raise AssertionError("a stride-1 conv2d VJP called _col2im")
+
+    monkeypatch.setattr(T, "_col2im", fail)
+    x = Tensor(RNG.normal(size=(2, 4, 6, 5)), requires_grad=True)
+    for groups in (1, 4):
+        for k, pad, dil in _STRIDE1_INPUT_GRAD:
+            y = T.conv2d(x, _t(4, 4 // groups, k, k), _t(4), padding=pad, dilation=dil)
+            assert y._vjp(np.ones_like(y.data))[0].shape == x.shape
+    with pytest.raises(AssertionError, match="_col2im"):
+        y = T.conv2d(x, _t(4, 4, 3, 3), _t(4), stride=2, padding=1)
+        y._vjp(np.ones_like(y.data))
+
+
+@pytest.mark.parametrize("stride,pad,dil,groups,k", [
+    pytest.param(*case, 3, id="-".join(map(str, case))) for case in (
+        (1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1),
+        (1, 1, 1, 4), (1, 2, 2, 4), (1, 3, 3, 4))
+] + [
+    # the stride-1 input-gradient settings above not yet covered, dense and depthwise
+    pytest.param(1, pad, dil, groups, k,
+                 id=f"{'depthwise' if groups == 4 else 'dense'}-k{k}-p{pad}-d{dil}")
+    for k, pad, dil in _STRIDE1_INPUT_GRAD for groups in (1, 4)
+    if (k, pad, dil, groups) not in ((3, 1, 1, 1), (3, 1, 1, 4), (3, 2, 2, 4), (3, 3, 3, 4))
 ])
-def test_grad_conv2d(stride, pad, dil, groups):
+def test_grad_conv2d(stride, pad, dil, groups, k):
     cin = 4 if groups == 4 else 2  # groups == cin == cout: depthwise
-    x, w, b = _t(1, cin, 5, 5), _t(4, cin // groups, 3, 3), _t(4)
+    x, w, b = _t(1, cin, 5, 5), _t(4, cin // groups, k, k), _t(4)
     assert grad_check(
         lambda x, w, b: T.tsum(T.tanh(T.conv2d(
             x, w, b, stride=stride, padding=pad, dilation=dil))),
