@@ -18,7 +18,8 @@ and input gradient are channel-last views: channels innermost in memory, as
 ``conv2d`` reads its kind from the weight's shape: a stride-1 depthwise conv
 for a C,1,Kh,Kw weight on C > 1 channels, a dense conv for any other.  Both
 conv ops require a bias.  ``layer_norm`` reads its input as (rows, C), and its
-means are GEMVs.
+means are GEMVs.  So is every VJP sum over the rows of a channel-last map or a
+token array (bias, gamma/beta and gate gradients), with a cached ones vector.
 ``softmax`` flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so
 no later GEMM reads a subnormal float, which runs many times slower.
 
@@ -184,9 +185,18 @@ def _ensure(x, like: Optional[Tensor] = None) -> Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
+    """Sum a broadcast gradient back down to ``shape``.  A channel-last B,C,H,W
+    gradient reduced to a spatial gate (B,1,H,W) or a channel gate (B,C,1,1)
+    is summed by a GEMV over its rows; any other reduction is a numpy sum."""
     if grad.shape == shape:
         return grad
+    rows = grad.transpose(0, 2, 3, 1) if grad.ndim == len(shape) == 4 else None
+    if rows is not None and rows.flags.c_contiguous:
+        b, c, h, w = grad.shape
+        if shape == (b, 1, h, w):
+            return (rows.reshape(-1, c) @ _ones(c, grad.dtype)).reshape(shape)
+        if shape == (b, c, 1, 1):
+            return (_ones(h * w, grad.dtype) @ rows.reshape(b, h * w, c)).reshape(shape)
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -260,8 +270,9 @@ def mul(a, b) -> Tensor:
     b = _ensure(b, like=a)
     out = a.data * b.data
 
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    def vjp(g):  # an operand that needs no gradient (a constant) gets none
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -551,7 +562,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         gw = np.matmul(x.data.reshape(-1, x.shape[-1]).T, g2)
         if b is None:
             return gx, gw
-        return gx, gw, g2.sum(axis=0)
+        return gx, gw, _ones(len(g2), g2.dtype) @ g2
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, vjp)
@@ -561,6 +572,15 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 def _mean_vector(c: int, dtype: np.dtype) -> np.ndarray:
     """The read-only ``1/c`` vector whose GEMV is a mean over ``c`` values."""
     v = np.full(c, 1.0 / c, dtype=dtype)
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only ones vector whose GEMV sums ``n`` rows: numpy's axis
+    reductions are slow over many rows of a few floats."""
+    v = np.ones(n, dtype=dtype)
     v.flags.writeable = False
     return v
 
@@ -599,7 +619,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
         gx -= (gx @ inv_c)[:, None]
         gx -= tmp
         gx *= rstd
-        ones = np.ones(len(g2), dtype=g2.dtype)
+        ones = _ones(len(g2), g2.dtype)
         ggamma = ones @ np.multiply(g2, xn, out=tmp)
         return (gx.reshape(xm.shape).transpose(back), ggamma.reshape(gamma.shape),
                 (ones @ g2).reshape(beta.shape))
@@ -690,9 +710,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     of the upstream gradient, padded by dilation*(k-1) - padding (a negative
     pad crops), with the spatially flipped, channel-transposed kernel
     (Dumoulin & Visin, arXiv:1603.07285, section 4); a strided conv's
-    is scattered back with ``_col2im``.  The output and the input gradient
-    are channel-last views.  Both VJPs are closures of this function, so a
-    profiler that names a VJP by its ``__qualname__`` charges both to ``conv2d``.
+    is scattered back with ``_col2im``; an input that needs no gradient
+    gets none.  The output and the input gradient are channel-last views.
+    Both VJPs are closures of this function, so a profiler that names a VJP
+    by its ``__qualname__`` charges both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
     cout, cin_w, kh, kw = w.shape
@@ -716,13 +737,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         out = acc.transpose(0, 3, 1, 2)
 
         def vjp_depthwise(g):
-            gx = _depthwise_taps(_padded(g, pg), w.data[:, :, ::-1, ::-1], h, wdt, dilation)
+            gx = None
+            if x.requires_grad:
+                gx = _depthwise_taps(_padded(g, pg), w.data[:, :, ::-1, ::-1], h, wdt,
+                                     dilation).transpose(0, 3, 1, 2)
             grows = g.transpose(0, 2, 3, 1).reshape(bsz, ho, wo * cout)
             gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
             for t, (i, j) in enumerate(itertools.product(range(kh), range(kw))):
                 xrows = _tap(xp, i, j, ho, wo, 1, dilation).reshape(bsz, ho, wo * cin)
                 gw[:, t] = np.einsum("bhk,bhk->k", grows, xrows).reshape(wo, cin).sum(axis=0)
-            return gx.transpose(0, 3, 1, 2), gw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+            gb = _ones(bsz * ho * wo, g.dtype) @ grows.reshape(-1, cout)
+            return gx, gw.reshape(w.shape), gb
 
         return _node(out, (x, w, b), vjp_depthwise)
 
@@ -736,14 +761,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     def vjp(g):
         g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
         gw = (g_rows.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-        if stride == 1:
+        gx = None
+        if x.requires_grad and stride == 1:
             g_cols = _im2col(g, kh, kw, 1, pg, dilation, h, wdt).reshape(bsz * h * wdt, -1)
             w_f = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
             gx = (g_cols @ w_f).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
-        else:
+        elif x.requires_grad:
             gcols = (g_rows @ w_m).reshape(bsz, ho, wo, kh, kw, cin)
             gx = _col2im(gcols, x.shape, stride, padding, dilation)
-        return gx, gw, g_rows.sum(axis=0)
+        return gx, gw, _ones(rows, g.dtype) @ g_rows
 
     return _node(out, (x, w, b), vjp)
 
@@ -772,7 +798,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             .transpose(0, 1, 3, 2, 4, 5).reshape(rows, kh * kw * cout)
         gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
         gw = (x_m.T @ g_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, _ones(rows * kh * kw, g.dtype) @ g_m.reshape(-1, cout)
 
     return _node(out, (x, w, b), vjp)
 
@@ -788,9 +814,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # resizing
 
-def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """(n_out, n_in) bilinear interpolation matrix of one axis: each row
-    lerps the two inputs beside its align_corners=False source point."""
+@functools.lru_cache(maxsize=None)
+def _resize_matrix(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (n_out, n_in) bilinear interpolation matrix of one axis: each
+    row lerps the two inputs beside its align_corners=False source point."""
     if n_out < 1:
         raise ConfigError(f"bilinear resize target extent {n_out} is not positive")
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
@@ -801,6 +828,7 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     m[rows, np.clip(i0, 0, n_in - 1)] = 1 - frac
     # at a clamped border both columns are one: its weights still sum to 1
     m[rows, np.clip(i0 + 1, 0, n_in - 1)] += frac
+    m.flags.writeable = False
     return m
 
 

@@ -442,17 +442,18 @@ def test_conv2d_rejects_settings_the_model_never_runs(cin, cout, stride, groups,
 @pytest.mark.parametrize("pad,dil", [(1, 1), (2, 2)])
 def test_depthwise_conv2d_equals_per_tap_numpy_bitwise(pad, dil):
     # pad, then sum the shifted slices times the weights in tap order: the
-    # depthwise forward and all three gradients must give the same floats.
-    # The input gradient is the same sum over the upstream gradient, padded
-    # by dil*(k-1) - pad, with the flipped kernel
+    # depthwise forward and the input and weight gradients must give the same
+    # floats.  The input gradient is the same sum over the upstream gradient,
+    # padded by dil*(k-1) - pad, with the flipped kernel; the bias gradient is
+    # the GEMV of a ones vector with the upstream gradient's channel-last rows
     rng = np.random.default_rng(11)
     bsz, c, h, w = 8, 16, 16, 16
     x = rng.normal(size=(bsz, h, w, c)).astype(np.float32).transpose(0, 3, 1, 2)
     wt = rng.normal(size=(c, 1, 3, 3)).astype(np.float32)
     bias = rng.normal(size=(c,)).astype(np.float32)
     g = rng.normal(size=(bsz, h, w, c)).astype(np.float32)   # channel-last upstream
-    y = T.conv2d(Tensor(x), Tensor(wt, requires_grad=True), Tensor(bias), padding=pad,
-                 dilation=dil)
+    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True), Tensor(bias),
+                 padding=pad, dilation=dil)
     xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     pg = dil * 2 - pad
     gp = np.pad(g, ((0, 0), (pg, pg), (pg, pg), (0, 0)))
@@ -470,7 +471,7 @@ def test_depthwise_conv2d_equals_per_tap_numpy_bitwise(pad, dil):
     assert y.data.transpose(0, 2, 3, 1).tobytes() == want.tobytes()
     assert gx.transpose(0, 2, 3, 1).tobytes() == want_gx.tobytes()
     assert gwt.tobytes() == gw.reshape(c, 1, 3, 3).tobytes()
-    assert gb.tobytes() == g.transpose(0, 3, 1, 2).sum(axis=(0, 2, 3)).tobytes()
+    assert gb.tobytes() == (np.ones(bsz * h * w, np.float32) @ g.reshape(-1, c)).tobytes()
 
 
 def test_both_conv2d_vjps_are_charged_to_conv2d():
@@ -529,6 +530,37 @@ def test_stride1_conv2d_vjps_gather_without_col2im(monkeypatch):
     with pytest.raises(AssertionError, match="_col2im"):
         y = T.conv2d(x, _t(4, 4, 3, 3), _t(4), stride=2, padding=1)
         y._vjp(np.ones_like(y.data))
+
+
+def test_vjps_skip_the_gradients_of_constant_inputs(monkeypatch):
+    # conv2d gives no input gradient for an input that needs none, so a
+    # strided conv on the image never scatters one; mul gives none for a
+    # constant factor.  The gradients of the other parents do not move
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 4, 12, 12)).astype(np.float32)
+    probe = rng.normal(size=(2, 4, 12, 12)).astype(np.float32)
+    for kind, stride, w_shape in (("dense", 4, (4, 4, 7, 7)), ("depthwise", 1, (4, 1, 3, 3))):
+        w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                for s in (w_shape, (4,)))
+
+        def grads(x_needs_grad):
+            xt = Tensor(x, requires_grad=x_needs_grad)
+            y = T.conv2d(xt, w, b, stride=stride, padding=stride // 2 + 1)
+            gx, gw, gb = y._vjp(probe[:, :, :y.shape[2], :y.shape[3]])
+            return gx, gw.tobytes(), gb.tobytes()
+
+        gx, *want = grads(True)
+        assert gx.shape == x.shape
+        with monkeypatch.context() as m:
+            m.setattr(T, "_col2im", lambda *a: pytest.fail(f"{kind} conv scattered a dead gradient"))
+            gx, *got = grads(False)
+        assert gx is None and got == want
+    a = Tensor(x, requires_grad=True)
+    for y, dead, want in ((a * 0.6, 1, probe * np.float32(0.6)),
+                          (0.4 * a, 1, probe * np.float32(0.4)),
+                          (T.mul(Tensor(probe), a), 0, probe * probe)):
+        gs = y._vjp(probe)
+        assert gs[dead] is None and gs[1 - dead].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stride,pad,dil,groups,k", [
@@ -609,6 +641,93 @@ def test_conv_transpose_adjoint_of_conv():
     assert abs(float((cx * y).sum()) - float((x * ty).sum())) < 1e-9
 
 
+def _channel_last32(rng, b, c, h, w):
+    """A float32 B,C,H,W array with channels innermost, as conv outputs are."""
+    return rng.normal(size=(b, h, w, c)).astype(np.float32).transpose(0, 3, 1, 2)
+
+
+def _bias_sum_case(make):
+    """A conv or linear case: its op, inputs and upstream gradient; the bias
+    gradient (VJP output 2) sums the gradient over every axis but channels."""
+    def case(rng):
+        y, g = make(rng)
+        axes = tuple(i for i in range(g.ndim) if i != (1 if g.ndim == 4 else g.ndim - 1))
+        return y, g, 2, g.astype(np.float64), axes, True
+    return case
+
+
+def _gate_sum_case(gate_shape, channel_last):
+    """``map * gate``: the gate gradient (VJP output 1) sums ``g * map`` over
+    the gate's broadcast axes, a GEMV only on channel-last rows."""
+    def case(rng):
+        if channel_last:  # a map of tokens, as the model gates them
+            tokens = Tensor(rng.normal(size=(2, 42, 5)).astype(np.float32), requires_grad=True)
+            m, g = tokens_to_map(tokens, 6, 7), _channel_last32(rng, 2, 5, 6, 7)
+        else:
+            m, g = (Tensor(rng.normal(size=(2, 5, 6, 7)).astype(np.float32), requires_grad=True),
+                    rng.normal(size=(2, 5, 6, 7)).astype(np.float32))
+        gate = Tensor(rng.uniform(size=gate_shape).astype(np.float32), requires_grad=True)
+        axes = tuple(i for i, n in enumerate(gate_shape) if n == 1)
+        terms = g.astype(np.float64) * m.data.astype(np.float64)
+        return T.mul(m, gate), g, 1, terms, axes, channel_last
+    return case
+
+
+def _conv_y_g(x_shape, w_shape, **kw):
+    def make(rng):
+        x = Tensor(_channel_last32(rng, *x_shape), requires_grad=True)
+        w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                for s in (w_shape, (w_shape[0],)))
+        y = T.conv2d(x, w, b, **kw)
+        return y, _channel_last32(rng, *y.shape)
+    return make
+
+
+def _deconv_y_g(rng):
+    x = Tensor(_channel_last32(rng, 2, 5, 4, 3), requires_grad=True)
+    w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+            for s in ((5, 6, 2, 2), (6,)))
+    y = T.conv_transpose2d(x, w, b)
+    return y, _channel_last32(rng, *y.shape)
+
+
+def _linear_y_g(rng):
+    x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in ((3, 41, 5), (5, 6), (6,)))
+    return T.linear(x, w, b), rng.normal(size=(3, 41, 6)).astype(np.float32)
+
+
+_GRAD_SUMS = {
+    "conv_dense3x3": _bias_sum_case(_conv_y_g((2, 5, 8, 9), (6, 5, 3, 3), padding=1)),
+    "conv_1x1": _bias_sum_case(_conv_y_g((2, 5, 8, 9), (6, 5, 1, 1))),
+    "conv_strided": _bias_sum_case(_conv_y_g((2, 5, 8, 9), (6, 5, 3, 3), stride=2, padding=1)),
+    "conv_depthwise": _bias_sum_case(_conv_y_g((2, 5, 8, 9), (5, 1, 3, 3), padding=1)),
+    "conv_transpose2d": _bias_sum_case(_deconv_y_g),
+    "linear": _bias_sum_case(_linear_y_g),
+    "mul_spatial_gate": _gate_sum_case((2, 1, 6, 7), channel_last=True),
+    "mul_channel_gate": _gate_sum_case((2, 5, 1, 1), channel_last=True),
+    "mul_gate_channel_first_sum": _gate_sum_case((2, 1, 6, 7), channel_last=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAD_SUMS))
+def test_gradient_row_sums_match_a_float64_sum(name, monkeypatch):
+    # bias and gate gradients sum many rows of few floats, which a GEMV with a
+    # ones vector does faster than numpy's axis reduction; any other layout
+    # keeps the numpy sum.  Either way the float32 result is within the
+    # rounding bound n * eps * sum|terms| of a float64 sum of the same terms
+    y, g, index, terms, axes, gemv = _GRAD_SUMS[name](np.random.default_rng(12))
+    ones = []
+    monkeypatch.setattr(T, "_ones", lambda n, dtype: ones.append(n) or np.ones(n, dtype))
+    got = y._vjp(g)[index]
+    want = terms.sum(axis=axes)
+    n = terms.size // want.size
+    bound = n * np.finfo(np.float32).eps * np.abs(terms).sum(axis=axes)
+    assert got.dtype == np.float32
+    assert np.all(np.abs(got.reshape(want.shape) - want) <= bound)
+    assert bool(ones) == gemv and (not gemv or n in ones)
+
+
 def test_grad_global_avg_pool_and_bilinear():
     x = _t(1, 2, 4, 4)
     probe = Tensor(RNG.normal(size=(1, 2, 1, 1)))
@@ -658,6 +777,15 @@ def test_bilinear_resize_preserves_constants():
     same = T.bilinear_resize(Tensor(RNG.normal(size=(1, 2, 4, 4))), 4, 4)
     # identity resize must be exact up to float roundoff
     assert same.shape == (1, 2, 4, 4)
+
+
+def test_resize_matrices_are_cached_read_only():
+    dtype = np.dtype(np.float32)
+    m = T._resize_matrix(5, 9, dtype)
+    assert T._resize_matrix(5, 9, dtype) is m and not m.flags.writeable
+    assert T._resize_matrix(5, 9, np.dtype(np.float64)) is not m
+    with pytest.raises(ConfigError, match="not positive"):
+        T._resize_matrix(5, 0, dtype)
 
 
 # ---------------------------------------------------------------------------
