@@ -92,11 +92,12 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
             if kind not in table:
                 raise ConfigError(f"--kinds: unknown attention kind {kind!r}")
             init, forward, flops, rknob, r, multiple = table[kind]
+            # the config checks every count first: the grid check divides by the window
+            cfg = AttentionConfig(channels, heads, reduction=r, window=window, r1=8, r2=8)
             side = int(round(np.sqrt(n)))  # grid side; ignored by the token kinds
             if multiple is not None and (side * side != n or side % multiple):
                 raise ConfigError(f"--sizes: {kind} needs square N with side divisible "
                                   f"by {multiple}, got N={n}")
-            cfg = AttentionConfig(channels, heads, reduction=r, window=window, r1=8, r2=8)
             store = ParamStore()
             init(store, Initializer(seed), "a", cfg)
             forwards.append(functools.partial(forward, x, side, cfg, store))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as D
 from . import model as M
-from .train import (TrainConfig, evaluate_checkpoint, predict_mask,
+from .train import (TrainConfig, TrainingDiverged, evaluate_checkpoint, predict_mask,
                     train as run_training)
 from .bench import bench_attention
 from .tensor import ConfigError, Tensor, no_grad
@@ -264,7 +264,7 @@ def run(argv=None) -> int:
             args.seed = _seed(args.seed)
         _print_resolved(args)
         return _COMMANDS[args.command](args)
-    except (D.DataError, M.CheckpointError, ValueError) as e:
+    except (D.DataError, M.CheckpointError, TrainingDiverged, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         # a flag value that cannot work is a usage error
         return 2 if isinstance(e, (D.SpecError, ConfigError)) else 1

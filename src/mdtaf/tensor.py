@@ -17,11 +17,12 @@ and input gradient are channel-last views: channels innermost in memory, as
 ``tokens_to_map`` gives them, so a map becomes tokens without a copy.
 ``conv2d`` reads its kind from the weight's shape: a stride-1 depthwise conv
 for a C,1,Kh,Kw weight on C > 1 channels, a dense conv for any other.  Both
-conv ops require a bias.  ``layer_norm`` reads its input as (rows, C), and its
-means are GEMVs.  So is every VJP sum over the rows of a channel-last map or a
-token array (bias, gamma/beta and gate gradients), with a cached ones vector.
-``softmax`` flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so
-no later GEMM reads a subnormal float, which runs many times slower.
+conv ops require a bias, and nothing in them scatters.  ``layer_norm`` reads
+its input as (rows, C), and its means are GEMVs.  So is every VJP sum over the
+rows of a channel-last map or a token array (bias, gamma/beta and gate
+gradients), with a cached ones vector.  ``softmax`` flushes probabilities
+below ``np.finfo(dtype).tiny`` to zero, so no later GEMM reads a subnormal
+float, which runs many times slower.
 
 Layout conventions: image-like data is B x C x H x W, token sequences are
 B x N x C.
@@ -315,27 +316,23 @@ def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
     Evaluated in place from products only: numpy's generic ``pow``
-    (``x ** 3``) is far slower on float32.  A map of more than ``BLOCK``
-    elements runs the chain block by block over flat memory-order views of
-    the input and the output, so each block's passes stay in cache (numexpr's
-    method, https://github.com/pydata/numexpr).  ``tanh`` lands in one
-    block-sized scratch under ``no_grad`` and in a full buffer on the tape,
-    where the VJP reads it.  Every operation is elementwise, so blocking
-    changes no float.
+    (``x ** 3``) is far slower on float32.  The chain runs block by block of
+    ``BLOCK`` elements over flat memory-order views of the input and the
+    output, so each block's passes stay in cache (numexpr's method,
+    https://github.com/pydata/numexpr), and a small map's ufuncs run on one
+    flat run rather than on a 4-D view.  ``tanh`` lands in one block-sized
+    scratch under ``no_grad`` and in a full buffer on the tape, where the VJP
+    reads it.  Every operation is elementwise, so blocking changes no float.
     """
     x = a.data
     out = np.empty_like(x)
     n = x.size
     keep = _records((a,))
-    t = np.empty_like(x) if keep or n <= BLOCK else np.empty(BLOCK, x.dtype)
-    if n <= BLOCK:  # one block: the arrays themselves, with no ravel
-        blocks = [(x, out, t)]
-    else:
-        xf, of, tf = (v.ravel(order="K") for v in (x, out, t))
-        blocks = ((xf[lo:lo + BLOCK], of[lo:lo + BLOCK],
-                   tf[lo:lo + BLOCK] if keep else tf[:min(BLOCK, n - lo)])
-                  for lo in range(0, n, BLOCK))
-    for xb, ob, tb in blocks:
+    t = np.empty_like(x) if keep else np.empty(min(n, BLOCK), x.dtype)
+    xf, of, tf = (v.ravel(order="K") for v in (x, out, t))
+    for lo in range(0, n, BLOCK):
+        xb, ob = xf[lo:lo + BLOCK], of[lo:lo + BLOCK]
+        tb = tf[lo:lo + BLOCK] if keep else tf[:len(xb)]
         np.multiply(xb, xb, out=tb)               # u = s*x*(1 + c*x^2), then tanh(u)
         tb *= _GELU_S * _GELU_C
         tb += _GELU_S
@@ -634,20 +631,19 @@ def _conv_out_extent(h: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (h + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-padded channel-last copy (B,H+2p,W+2p,C) of a B,C,H,W input.  A
-    negative ``pad`` crops -pad from each side instead."""
-    if pad < 0:
-        x, pad = x[:, :, -pad:pad, -pad:pad], 0
+def _padded(x: np.ndarray, pad: int, hp: int = 0, wp: int = 0) -> np.ndarray:
+    """Channel-last zero map (B,hp,wp,C), or (B,H+2p,W+2p,C) for hp = wp = 0,
+    holding a B,C,H,W input at offset (pad, pad); what falls outside is cropped."""
     b, c, h, w = x.shape
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    hp, wp, lo = hp or h + 2 * pad, wp or w + 2 * pad, max(pad, 0)
+    xp = np.zeros((b, hp, wp, c), dtype=x.dtype)
+    xp[:, lo:pad + h, lo:pad + w] = x.transpose(0, 2, 3, 1)[:, lo - pad:hp - pad, lo - pad:wp - pad]
     return xp
 
 
-def _tap(xp: np.ndarray, i: int, j: int, ho: int, wo: int, stride: int, dil: int) -> np.ndarray:
-    """The (B,Ho,Wo,C) view of a padded channel-last map that tap (i, j) reads."""
-    return xp[:, i * dil: i * dil + stride * ho: stride, j * dil: j * dil + stride * wo: stride]
+def _tap(xp: np.ndarray, i: int, j: int, ho: int, wo: int, dil: int) -> np.ndarray:
+    """The (B,Ho,Wo,C) view of a padded channel-last map that stride-1 tap (i, j) reads."""
+    return xp[:, i * dil:i * dil + ho, j * dil:j * dil + wo]
 
 
 def _depthwise_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int, dil: int) -> np.ndarray:
@@ -655,45 +651,53 @@ def _depthwise_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int, dil: int) -
     C,1,k,k kernel, into a contiguous (B,Ho,Wo,C) buffer: per tap in row-major
     order, one multiply-add of the tap's weights, tiled along a row, over the
     tap's rows of Wo*C floats."""
-    bsz, c = xp.shape[0], w.shape[0]
+    bsz, c, k = xp.shape[0], w.shape[0], w.shape[-1]
     wt = np.tile(w.reshape(c, -1).T, (1, wo))
     acc = np.zeros((bsz, ho, wo, c), xp.dtype)
     acc_rows = acc.reshape(bsz, ho, wo * c)
-    k = w.shape[-1]
     for t, (i, j) in enumerate(itertools.product(range(k), range(k))):
-        acc_rows += _tap(xp, i, j, ho, wo, 1, dil).reshape(bsz, ho, wo * c) * wt[t]
+        acc_rows += _tap(xp, i, j, ho, wo, dil).reshape(bsz, ho, wo * c) * wt[t]
     return acc
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
             ho: int, wo: int) -> np.ndarray:
-    """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input.  A 1x1
-    unpadded kernel's windows are the input's pixels, a free view of a
-    channel-last input; any other kernel copies every window at once from a
-    strided view of the padded map, in which a window row of kw*C floats is
-    one run when ``dil`` is 1."""
-    b, c = x.shape[:2]
-    if kh == kw == 1 and pad == 0:
-        return x.transpose(0, 2, 3, 1)[:, ::stride, ::stride].reshape(b, ho, wo, 1, 1, c)
-    xp = _padded(x, pad)
+    """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input padded by
+    ``pad`` at the top-left, and at the bottom-right to what the windows read.
+    Unpadded 1x1 windows are the input's pixels, a free view of a channel-last
+    input; any other kernel copies every window at once from a strided view of
+    the padded map (a window row of kw*C floats is one run when ``dil`` is 1)."""
+    b, c, h, w = x.shape
+    hp, wp = (ho - 1) * stride + (kh - 1) * dil + 1, (wo - 1) * stride + (kw - 1) * dil + 1
+    if kh == kw == 1 and pad == 0 and hp <= h and wp <= w:
+        return x.transpose(0, 2, 3, 1)[:, :hp:stride, :wp:stride].reshape(b, ho, wo, 1, 1, c)
+    xp = _padded(x, pad, hp, wp)
     s0, s1, s2, s3 = xp.strides
     # np.ndarray checks that the windows lie inside ``xp``'s buffer
     return np.ndarray((b, ho, wo, kh, kw, c), x.dtype, xp, 0,
                       (s0, s1 * stride, s2 * stride, s1 * dil, s2 * dil, s3)).copy()
 
 
-def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int,
-            dil: int) -> np.ndarray:
-    """Scatter-add channel-last window gradients (B,Ho,Wo,kh,kw,C) back onto
-    a B,C,H,W input, returned as a view of a channel-last buffer: the adjoint
-    of :func:`_im2col`, used by strided convs."""
-    b, c, h, w = xshape
-    _, ho, wo, kh, kw, _ = gcols.shape
-    gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=gcols.dtype)
-    for i, j in itertools.product(range(kh), range(kw)):
-        tap = _tap(gx, i, j, ho, wo, stride, dil)
-        tap += gcols[:, :, :, i, j]
-    return gx[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+def _phase_gemm(g: np.ndarray, w: np.ndarray, stride: tuple, pad: int, dil: int,
+                h: int, wdt: int) -> np.ndarray:
+    """Transposed conv, the adjoint of ``conv2d(., w, stride, pad, dil)``, on g
+    (B,Cout,Ho,Wo) as a channel-last B,Cin,h,wdt view; w is square, or its
+    stride (sh, sw) is its extent and pad 0.  Tap i lands on phase (i*dil - pad)
+    mod s at upstream offset floor((i*dil - pad)/s): one GEMM of ``_im2col``
+    windows with a matrix holding each tap once, then a depth-to-space copy."""
+    bsz, (cout, cin, kh, kw), (sh, sw) = g.shape[0], w.shape, stride
+    step = dil // sh if dil % sh == 0 else 1
+    nq_h, nq_w = (((k - 1) * dil - pad) // s - -pad // s + 1 for k, s in ((kh, sh), (kw, sw)))
+    # the taps at their offsets, read by (offset, phase) from the last offset back
+    spread = np.zeros((nq_h * sh, nq_w * sw, cout, cin), w.dtype)
+    spread[-pad % sh::dil, -pad % sw::dil][:kh, :kw] = w.transpose(2, 3, 0, 1)
+    w_m = spread.reshape(nq_h, sh, nq_w, sw, cout, cin)[::-step, :, ::-step]
+    nh, nw, mh, mw = w_m.shape[0], w_m.shape[2], -(-h // sh), -(-wdt // sw)
+    cols = _im2col(g, nh, nw, 1, ((kh - 1) * dil - pad) // sh, step, mh, mw)
+    w_m = w_m.transpose(0, 2, 4, 1, 3, 5).reshape(-1, sh * sw * cin)
+    out = cols.reshape(bsz * mh * mw, -1) @ w_m
+    out = out.reshape(bsz, mh, mw, sh, sw, cin).transpose(0, 1, 3, 2, 4, 5)
+    return out.reshape(bsz, mh * sh, mw * sw, cin)[:, :h, :wdt].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
@@ -706,12 +710,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     tap's weights, tiled along a row, over the tap's rows of Wo*C floats in
     the padded channel-last map.  Any other weight is dense, Cout,Cin,k,k
     with the input's Cin (ShapeError otherwise): one GEMM over im2col
-    windows.  At stride 1 the input gradient is the same forward correlation
-    of the upstream gradient, padded by dilation*(k-1) - padding (a negative
-    pad crops), with the spatially flipped, channel-transposed kernel
-    (Dumoulin & Visin, arXiv:1603.07285, section 4); a strided conv's
-    is scattered back with ``_col2im``; an input that needs no gradient
-    gets none.  The output and the input gradient are channel-last views.
+    windows, whose input gradient at any stride is one gather by phase,
+    ``_phase_gemm`` (Dumoulin & Visin, arXiv:1603.07285).  A depthwise conv's
+    is its tap loop over the upstream gradient padded by dilation*(k-1) -
+    padding, with the flipped kernel.  An input that needs no gradient gets
+    none.  The output and the input gradient are channel-last views.
     Both VJPs are closures of this function, so a profiler that names a VJP
     by its ``__qualname__`` charges both to ``conv2d``.
     """
@@ -744,7 +747,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
             grows = g.transpose(0, 2, 3, 1).reshape(bsz, ho, wo * cout)
             gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
             for t, (i, j) in enumerate(itertools.product(range(kh), range(kw))):
-                xrows = _tap(xp, i, j, ho, wo, 1, dilation).reshape(bsz, ho, wo * cin)
+                xrows = _tap(xp, i, j, ho, wo, dilation).reshape(bsz, ho, wo * cin)
                 gw[:, t] = np.einsum("bhk,bhk->k", grows, xrows).reshape(wo, cin).sum(axis=0)
             gb = _ones(bsz * ho * wo, g.dtype) @ grows.reshape(-1, cout)
             return gx, gw.reshape(w.shape), gb
@@ -753,22 +756,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
     rows = bsz * ho * wo
     cols = _im2col(x.data, kh, kw, stride, padding, dilation, ho, wo).reshape(rows, -1)
-    w_m = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out_m = cols @ w_m.T
+    out_m = cols @ w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
     out_m += b.data
     out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def vjp(g):
         g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
         gw = (g_rows.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-        gx = None
-        if x.requires_grad and stride == 1:
-            g_cols = _im2col(g, kh, kw, 1, pg, dilation, h, wdt).reshape(bsz * h * wdt, -1)
-            w_f = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
-            gx = (g_cols @ w_f).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
-        elif x.requires_grad:
-            gcols = (g_rows @ w_m).reshape(bsz, ho, wo, kh, kw, cin)
-            gx = _col2im(gcols, x.shape, stride, padding, dilation)
+        gx = (_phase_gemm(g, w.data, (stride, stride), padding, dilation, h, wdt)
+              if x.requires_grad else None)
         return gx, gw, _ones(rows, g.dtype) @ g_rows
 
     return _node(out, (x, w, b), vjp)
@@ -777,7 +773,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Transposed 2D convolution with stride = kernel and no padding, plus a
     per-channel bias.  x: B,Cin,H,W; w: Cin,Cout,Kh,Kw; b: Cout; output
-    B,Cout,H*Kh,W*Kw.  The windows do not overlap, so it is one GEMM and a
+    B,Cout,H*Kh,W*Kw: ``_phase_gemm``'s one-slot case, one GEMM and a
     depth-to-space copy that keeps channels innermost (sub-pixel convolution,
     Shi et al. 2016, arXiv:1609.05158).  The output and the input gradient
     are channel-last views."""
@@ -785,15 +781,13 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cin_w, cout, kh, kw = w.shape
     if cin_w != cin:
         raise ShapeError(f"conv_transpose2d expects {cin_w} in-channels, got {cin}")
-    rows = bsz * h * wdt
-    x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
-    w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
-    out_m = (x_m @ w_m).reshape(bsz, h, wdt, kh, kw, cout)
-    out_m += b.data
-    out = out_m.transpose(0, 1, 3, 2, 4, 5).reshape(bsz, h * kh, wdt * kw, cout) \
-        .transpose(0, 3, 1, 2)
+    out = _phase_gemm(x.data, w.data, (kh, kw), 0, 1, h * kh, wdt * kw)
+    out += b.data[:, None, None]
 
     def vjp(g):
+        rows = bsz * h * wdt
+        x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
+        w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
         g_m = g.transpose(0, 2, 3, 1).reshape(bsz, h, kh, wdt, kw, cout) \
             .transpose(0, 1, 3, 2, 4, 5).reshape(rows, kh * kw * cout)
         gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)

@@ -20,7 +20,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A step gave a non-finite loss, gradient norm or parameter norm."""
 
 
 def bce_loss(logits: Tensor, targets: Tensor) -> Tensor:
@@ -163,11 +163,13 @@ class TrainConfig:
     history_path: Optional[str] = None
 
     def __post_init__(self):
-        if not self.lr_max > 0:
-            raise ConfigError(f"lr_max {self.lr_max} is not positive")
+        if not 0 < self.lr_max < math.inf:
+            raise ConfigError(f"lr_max {self.lr_max} is not positive and finite")
         if not self.lr_min >= 0:
             raise ConfigError(f"lr_min {self.lr_min} is negative")
-        if self.lr_min > self.lr_max:
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay {self.weight_decay} is negative or not finite")
+        if self.lr_min > self.lr_max:  # so lr_min is finite too
             raise ConfigError("lr_min must be <= lr_max")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps {self.max_steps} is not positive")
@@ -230,9 +232,12 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
                 raise TrainingDiverged(f"non-finite loss at step {step}")
             loss.backward()
             adamw_step(params, opt, lr)
-            history.append({"step": step, "lr": lr, "loss": loss_val,
-                            "grad_norm": float(np.linalg.norm(opt.grad)),
-                            "param_norm": float(np.linalg.norm(params.flat()))})
+            norms = {"grad_norm": float(np.linalg.norm(opt.grad)),
+                     "param_norm": float(np.linalg.norm(params.flat()))}
+            for name, value in norms.items():
+                if not math.isfinite(value):
+                    raise TrainingDiverged(f"non-finite {name} at step {step}")
+            history.append({"step": step, "lr": lr, "loss": loss_val, **norms})
             step += 1
             if train_cfg.eval_interval and step % train_cfg.eval_interval == 0:
                 m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)

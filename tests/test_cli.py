@@ -243,6 +243,25 @@ def test_train_rejects_settings_that_cannot_work(workspace, capsys, flags, messa
     assert message in capsys.readouterr().err
 
 
+def test_train_with_a_nan_weight_decay_exits_2_and_saves_nothing(workspace, capsys):
+    # it used to exit 0 and save a checkpoint whose parameters were all NaN
+    ckpt = workspace["root"] / "nan.ckpt"
+    assert run(["train", "--data", workspace["data"], "--steps", "1", "--weight-decay", "nan",
+                "--checkpoint", str(ckpt)]) == 2
+    assert "weight_decay nan" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_a_diverging_train_run_exits_1_without_a_traceback(workspace, capsys):
+    # TrainingDiverged used to escape run() as a traceback
+    ckpt = workspace["root"] / "diverged.ckpt"
+    assert run(["train", "--data", workspace["data"], "--steps", "2", "--batch-size", "3",
+                "--lr-max", "1e38", "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "error: non-finite" in err and "Traceback" not in err
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("flags,message", [(["--count", "0"], "count 0"),
                                            (["--noise-sigma", "-1"], "noise_sigma -1"),
                                            (["--blur-radius", "-2"], "blur_radius -2")])
@@ -280,6 +299,13 @@ def test_bench_checks_every_input_before_the_first_timed_row(capsys, monkeypatch
     assert run(["bench", "--kinds", kinds, "--sizes", sizes]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+def test_bench_checks_the_window_before_the_ssa_grid(capsys):
+    # the grid check used to divide by a zero window: ZeroDivisionError, exit 1
+    assert run(["bench", "--kinds", "ssa", "--sizes", "64", "--window", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "window 0 is not positive" in err and "Traceback" not in err
 
 
 def test_bench_emits_rows(capsys):

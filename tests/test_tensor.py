@@ -489,7 +489,7 @@ def test_both_conv2d_vjps_are_charged_to_conv2d():
 _STRIDE1_INPUT_GRAD = ((3, 0, 1), (3, 1, 1), (3, 2, 2), (3, 3, 3), (1, 1, 1), (3, 3, 1))
 
 
-def _conv_input_grad_oracle(g, w, pad, dil, groups, hw):
+def _conv_input_grad_oracle(g, w, stride, pad, dil, groups, hw):
     # scatter every output pixel's gradient back through the kernel, in float64
     bs, cout, ho, wo = g.shape
     _, cg, k, _ = w.shape
@@ -497,7 +497,8 @@ def _conv_input_grad_oracle(g, w, pad, dil, groups, hw):
     cpg = cout // groups
     for n, co, i, j, ci, a, bb in itertools.product(
             range(bs), range(cout), range(ho), range(wo), range(cg), range(k), range(k)):
-        gxp[n, co // cpg * cg + ci, i + a * dil, j + bb * dil] += g[n, co, i, j] * w[co, ci, a, bb]
+        gxp[n, co // cpg * cg + ci, i * stride + a * dil, j * stride + bb * dil] += \
+            g[n, co, i, j] * w[co, ci, a, bb]
     return gxp[:, :, pad:pad + hw[0], pad:pad + hw[1]]
 
 
@@ -513,28 +514,64 @@ def test_stride1_conv2d_input_grad_matches_loop_oracle(k, pad, dil, groups):
     g = rng.normal(size=y.shape)
     gx = y._vjp(g)[0]
     assert gx.shape == x.shape
-    assert np.abs(gx - _conv_input_grad_oracle(g, w, pad, dil, groups, (6, 5))).max() < 1e-10
+    assert np.abs(gx - _conv_input_grad_oracle(g, w, 1, pad, dil, groups, (6, 5))).max() < 1e-10
 
 
-def test_stride1_conv2d_vjps_gather_without_col2im(monkeypatch):
-    # only a strided conv scatters its window gradients back with _col2im
-    def fail(*args):
-        raise AssertionError("a stride-1 conv2d VJP called _col2im")
+# strided dense settings (k, stride, pad, dil, H, W): the model's 3x3 stride-2
+# embeds and hourglass downs, verify's stride-2 dilation-2 conv, 1x1 stride-2
+# filter entries (three of four phases empty), the 7x7 stride-4 stage-1 embed,
+# and odd, non-square extents whose phases are cropped or padded at the end
+_STRIDED_INPUT_GRAD = (
+    (3, 2, 1, 1, 7, 6), (3, 2, 0, 1, 8, 9), (3, 2, 1, 2, 9, 9), (3, 2, 3, 1, 6, 5),
+    (3, 3, 1, 1, 8, 7), (3, 3, 2, 2, 9, 10), (5, 3, 0, 2, 12, 11), (2, 2, 0, 1, 7, 6),
+    (1, 2, 0, 1, 7, 6), (1, 2, 1, 1, 6, 7), (7, 4, 3, 1, 16, 13), (4, 4, 0, 2, 13, 11))
 
-    monkeypatch.setattr(T, "_col2im", fail)
-    x = Tensor(RNG.normal(size=(2, 4, 6, 5)), requires_grad=True)
+
+@pytest.mark.parametrize("k,stride,pad,dil,h,w", _STRIDED_INPUT_GRAD,
+                         ids=[f"k{k}-s{s}-p{p}-d{d}-{h}x{w}"
+                              for k, s, p, d, h, w in _STRIDED_INPUT_GRAD])
+def test_strided_conv2d_input_grad_matches_loop_oracle(k, stride, pad, dil, h, w):
+    rng = np.random.default_rng(k * 1000 + stride * 100 + pad * 10 + dil)
+    x = rng.normal(size=(2, 3, h, w))
+    wt, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=(4,))
+    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt), Tensor(b), stride=stride,
+                 padding=pad, dilation=dil)
+    g = rng.normal(size=y.shape)
+    gx = y._vjp(g)[0]
+    assert gx.shape == x.shape and _axes_by_stride(gx) == (0, 2, 3, 1)
+    assert np.abs(gx - _conv_input_grad_oracle(g, wt, stride, pad, dil, 1, (h, w))).max() < 1e-10
+
+
+def test_conv_vjps_gather_without_scatter(monkeypatch):
+    # every conv input gradient, at any stride, and the deconv forward and VJP
+    # are GEMMs or tap loops of multiply-adds: none scatter-adds into taps
+    real_add = np.add
+
+    class AddWithoutAt:  # np.add for every call but the scatter-add np.add.at
+        def __call__(self, *args, **kwargs):
+            return real_add(*args, **kwargs)
+
+        def at(self, *args):
+            raise AssertionError("a conv VJP scattered with np.add.at")
+
+    assert not hasattr(T, "_col2im")
+    monkeypatch.setattr(np, "add", AddWithoutAt())
+    x = Tensor(RNG.normal(size=(2, 4, 7, 6)), requires_grad=True)
     for groups in (1, 4):
         for k, pad, dil in _STRIDE1_INPUT_GRAD:
             y = T.conv2d(x, _t(4, 4 // groups, k, k), _t(4), padding=pad, dilation=dil)
             assert y._vjp(np.ones_like(y.data))[0].shape == x.shape
-    with pytest.raises(AssertionError, match="_col2im"):
-        y = T.conv2d(x, _t(4, 4, 3, 3), _t(4), stride=2, padding=1)
-        y._vjp(np.ones_like(y.data))
+    for k, stride, pad, dil, *_ in _STRIDED_INPUT_GRAD:
+        if T._conv_out_extent(6, k, stride, pad, dil) > 0:
+            y = T.conv2d(x, _t(4, 4, k, k), _t(4), stride=stride, padding=pad, dilation=dil)
+            assert y._vjp(np.ones_like(y.data))[0].shape == x.shape
+    y = T.conv_transpose2d(x, _t(4, 3, 2, 3), _t(3))
+    assert [gp.shape for gp in y._vjp(np.ones_like(y.data))] == [x.shape, (4, 3, 2, 3), (3,)]
 
 
 def test_vjps_skip_the_gradients_of_constant_inputs(monkeypatch):
     # conv2d gives no input gradient for an input that needs none, so a
-    # strided conv on the image never scatters one; mul gives none for a
+    # strided conv on the image never runs its phase GEMM; mul gives none for a
     # constant factor.  The gradients of the other parents do not move
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 4, 12, 12)).astype(np.float32)
@@ -552,7 +589,8 @@ def test_vjps_skip_the_gradients_of_constant_inputs(monkeypatch):
         gx, *want = grads(True)
         assert gx.shape == x.shape
         with monkeypatch.context() as m:
-            m.setattr(T, "_col2im", lambda *a: pytest.fail(f"{kind} conv scattered a dead gradient"))
+            m.setattr(T, "_phase_gemm",
+                      lambda *a: pytest.fail(f"{kind} conv computed a dead gradient"))
             gx, *got = grads(False)
         assert gx is None and got == want
     a = Tensor(x, requires_grad=True)
@@ -561,6 +599,32 @@ def test_vjps_skip_the_gradients_of_constant_inputs(monkeypatch):
                           (T.mul(Tensor(probe), a), 0, probe * probe)):
         gs = y._vjp(probe)
         assert gs[dead] is None and gs[1 - dead].tobytes() == want.tobytes()
+
+
+def _deconv_as_gemm(x, w, b):
+    # the inline form of a stride = kernel deconv: one GEMM over channel-last
+    # pixels, the bias, then a depth-to-space copy
+    bs, cin, h, wd = x.shape
+    _, cout, kh, kw = w.shape
+    out = (x.transpose(0, 2, 3, 1).reshape(-1, cin) @ w.transpose(0, 2, 3, 1).reshape(cin, -1))
+    out = out.reshape(bs, h, wd, kh, kw, cout)
+    out += b
+    return out.transpose(0, 1, 3, 2, 4, 5).reshape(bs, h * kh, wd * kw, cout).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("kernel", [(2, 2), (2, 3), (1, 1), (4, 4)],
+                         ids=lambda k: "x".join(map(str, k)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_transpose2d_equals_inline_gemm_bitwise(kernel, dtype):
+    rng = np.random.default_rng(sum(kernel))
+    for x in (Tensor(rng.normal(size=(2, 3, 5, 4)).astype(dtype)),
+              _permute(Tensor(rng.normal(size=(2, 5, 4, 3)).astype(dtype)), (0, 3, 1, 2))):
+        w = rng.normal(size=(3, 6) + kernel).astype(dtype)
+        b = rng.normal(size=(6,)).astype(dtype)
+        got = T.conv_transpose2d(x, Tensor(w), Tensor(b)).data
+        want = _deconv_as_gemm(x.data, w, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 @pytest.mark.parametrize("stride,pad,dil,groups,k", [

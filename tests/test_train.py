@@ -6,6 +6,7 @@ loss against closed-form values and finite differences.
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -323,6 +324,41 @@ def test_train_config_rejects_settings_that_cannot_work(kwargs):
     # a negative batch size used to make the training loop draw no batch, forever
     with pytest.raises(ConfigError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"weight_decay": math.nan}, {"weight_decay": -0.1},
+                                    {"weight_decay": math.inf}, {"lr_max": math.inf},
+                                    {"lr_max": math.inf, "lr_min": math.inf}],
+                         ids=["decay_nan", "decay_negative", "decay_inf", "lr_max_inf",
+                              "both_rates_inf"])
+def test_train_config_rejects_a_bad_weight_decay_and_infinite_rates(kwargs):
+    # each used to train: a NaN decay turns every parameter into NaN
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        TrainConfig(**kwargs)
+
+
+def test_train_stops_before_saving_non_finite_parameters(tmp_path):
+    # a finite but huge rate moves the f32 parameters to ~1e38 in one step:
+    # the loss was finite, but the parameter norm overflows
+    ckpt = tmp_path / "m.ckpt"
+    tcfg = TrainConfig(batch_size=4, max_steps=1, lr_max=1e38, lr_min=0.0,
+                       checkpoint_path=str(ckpt))
+    with pytest.raises(TrainingDiverged, match="param_norm at step 0"):
+        train(tiny_config(), tcfg, _toy_dataset())
+    assert not ckpt.exists() and not (tmp_path / "m.ckpt.best").exists()
+
+
+def test_train_stops_on_a_non_finite_gradient_norm(tmp_path, monkeypatch):
+    def adamw_with_inf_grad(params, state, lr):
+        adamw_step(params, state, lr)
+        state.grad[0] = np.inf
+
+    monkeypatch.setattr(sys.modules["mdtaf.train"], "adamw_step", adamw_with_inf_grad)
+    ckpt = tmp_path / "m.ckpt"
+    tcfg = TrainConfig(batch_size=4, max_steps=2, checkpoint_path=str(ckpt))
+    with pytest.raises(TrainingDiverged, match="grad_norm at step 0"):
+        train(tiny_config(), tcfg, _toy_dataset())
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
