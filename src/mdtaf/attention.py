@@ -67,20 +67,23 @@ class BlockConfig:
 # ---------------------------------------------------------------------------
 # window rearrangement
 
-def window_partition(x: Tensor, w: int) -> Tensor:
-    """B,H,W,C -> (B * H/w * W/w), w*w, C; lossless, row-major within windows."""
+def window_partition(x: Tensor, w: int, heads: int = 1) -> Tensor:
+    """B,H,W,C -> (B * H/w * W/w), heads, w*w, C/heads in one node: the head
+    split windows :func:`tensor.attention` reads, row-major within each."""
     b, h, wd, c = x.shape
     if h % w or wd % w:
         raise ConfigError(f"window size {w} does not divide spatial extent {h}x{wd}")
-    return T.rearrange(x, (b * (h // w) * (wd // w), w * w, c), axes=(0, 1, 3, 2, 4, 5),
-                       split=(b, h // w, w, wd // w, w, c))
+    return T.rearrange(x, (b * (h // w) * (wd // w), heads, w * w, c // heads),
+                       axes=(0, 1, 3, 5, 2, 4, 6),
+                       split=(b, h // w, w, wd // w, w, heads, c // heads))
 
 
 def window_merge(x: Tensor, w: int, h: int, wd: int) -> Tensor:
-    """Exact inverse of :func:`window_partition`."""
-    nb, c = x.shape[0] // ((h // w) * (wd // w)), x.shape[-1]
-    return T.rearrange(x, (nb, h, wd, c), axes=(0, 1, 3, 2, 4, 5),
-                       split=(nb, h // w, wd // w, w, w, c))
+    """Exact inverse of :func:`window_partition`, back to B,H,W,C in one node."""
+    nwin, heads, _, d = x.shape
+    nb = nwin // ((h // w) * (wd // w))
+    return T.rearrange(x, (nb, h, wd, heads * d), axes=(0, 1, 4, 2, 5, 3, 6),
+                       split=(nb, h // w, wd // w, heads, w, w, d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,23 +224,23 @@ def init_ssa(store: ParamStore, init: Initializer, prefix: str, cfg: AttentionCo
 def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
                            params: ParamStore, prefix: str,
                            residual: Tensor | None = None) -> Tensor:
+    """Multi-head attention within ``cfg.window`` windows plus a learnable
+    relative-position bias per head (the Swin form); the window layout is one
+    node each way and the bias one gather of its table."""
     b, n, c = x.shape
     if n != h * w:
         raise ShapeError(f"token count {n} != {h}x{w}")
-    win = cfg.window
-    if h % win or w % win:
-        raise ConfigError(f"window {win} does not divide {h}x{w}")
+    win, heads = cfg.window, cfg.heads
 
     q, k, v = (linear(params, f"{prefix}.{name}", x) for name in ("wq", "wk", "wv"))
-    qw, kw, vw = (_split_heads(window_partition(T.rearrange(t, (b, h, w, c)), win), cfg.heads)
+    qw, kw, vw = (window_partition(T.rearrange(t, (b, h, w, c)), win, heads)
                   for t in (q, k, v))
 
-    idx = relative_position_index(win).reshape(-1)
-    bias = T.getitem(params[f"{prefix}.rel_pos_bias"], idx)  # (T*T, heads)
-    bias = T.rearrange(bias, (cfg.heads, win * win, win * win), axes=(2, 0, 1),
-                       split=(win * win, win * win, cfg.heads))
-    yw = _merge_heads(T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias))
-    # passed unnamed, so the unmerged output is freed once it is merged
+    # (heads, w*w, w*w): entry [g, i, j] is table[index[i, j], g]
+    bias = T.getitem(params[f"{prefix}.rel_pos_bias"],
+                     (relative_position_index(win), np.arange(heads)[:, None, None]))
+    yw = T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias)
+    # passed unnamed, so the windowed output is freed once it is merged
     return _interact_and_merge(T.rearrange(window_merge(yw, win, h, w), (b, n, c)),
                                x, h, w, params, prefix, "gate_c", residual)
 

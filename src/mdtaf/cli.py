@@ -264,7 +264,7 @@ def run(argv=None) -> int:
             args.seed = _seed(args.seed)
         _print_resolved(args)
         return _COMMANDS[args.command](args)
-    except (D.DataError, M.CheckpointError, TrainingDiverged, ValueError) as e:
+    except (D.DataError, M.CheckpointError, TrainingDiverged, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         # a flag value that cannot work is a usage error
         return 2 if isinstance(e, (D.SpecError, ConfigError)) else 1

@@ -62,6 +62,10 @@ class SynthSpec:
             raise SpecError(f"channels {self.channels} is not 1 (PGM) or 3 (PPM)")
         if self.count < 1:
             raise SpecError(f"count {self.count} is not positive")
+        for name in ("fg_mean", "bg_mean"):
+            if not 0 <= getattr(self, name) <= 1:  # NaN fails too
+                raise SpecError(f"{name} {getattr(self, name)} is outside [0, 1], "
+                                f"the range a PNM pixel stores")
         if not self.noise_sigma >= 0:
             raise SpecError(f"noise_sigma {self.noise_sigma} is negative")
         if self.blur_radius < 0:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .attention import ALPHA_MIN
+from .data import DataError
 from .model import ModelConfig, model_forward, save_checkpoint
 from .params import ParamStore
 from .tensor import BLOCK, ConfigError, ShapeError, Tensor, no_grad, sigmoid_array
@@ -179,6 +181,15 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch size {self.batch_size} is not positive")
+        for name in ("checkpoint_path", "history_path"):
+            path = getattr(self, name)
+            if path is None:
+                continue
+            if os.path.isdir(path):
+                raise ConfigError(f"{name} {path} is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"{name} {path}: no directory "
+                                  f"{os.path.dirname(path)} to write it in")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -188,6 +199,13 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _stack_batch(dataset, idx) -> tuple:
+    first = dataset[idx[0]]
+    for i in idx[1:]:
+        if dataset[i].image.shape != first.image.shape:
+            raise DataError(f"samples {first.id} {first.image.shape} and {dataset[i].id} "
+                            f"{dataset[i].image.shape} differ in size and cannot share a "
+                            f"batch; resize every image to one size (--resize) or use "
+                            f"batch size 1")
     images = np.stack([dataset[i].image for i in idx]).astype(np.float32)
     masks = np.stack([dataset[i].mask for i in idx]).astype(np.float32)
     return Tensor(images), Tensor(masks)

@@ -33,13 +33,50 @@ def _cfg(c=8, heads=2, reduction=1, window=2):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
-       st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
-def test_window_roundtrip_is_bit_exact(w, hm, wm, c, seed):
+       st.integers(1, 4), st.integers(0, 2 ** 31 - 1), st.data())
+def test_window_roundtrip_is_bit_exact(w, hm, wm, c, seed, data):
     h, wd = w * hm, w * wm
+    heads = data.draw(st.sampled_from([d for d in range(1, c + 1) if c % d == 0]))
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(2, h, wd, c)).astype(np.float32))
-    y = window_merge(window_partition(x, w), w, h, wd)
+    y = window_merge(window_partition(x, w, heads), w, h, wd)
     assert np.array_equal(x.data, y.data)
+
+
+def _windows_then_heads(x, w, heads):
+    """The earlier three-node chain: windows as (B*H/w*W/w, w*w, C), then the
+    head split of each window's tokens."""
+    b, h, wd, c = x.shape
+    t = T.rearrange(x, (b * (h // w) * (wd // w), w * w, c), axes=(0, 1, 3, 2, 4, 5),
+                    split=(b, h // w, w, wd // w, w, c))
+    return T.rearrange(t, (t.shape[0], heads, w * w, c // heads), axes=(0, 2, 1, 3),
+                       split=(t.shape[0], w * w, heads, c // heads))
+
+
+@pytest.mark.parametrize("shape,w,heads", [((2, 4, 6, 6), 2, 3), ((1, 8, 8, 8), 4, 2),
+                                           ((3, 3, 6, 4), 3, 1), ((1, 4, 4, 6), 1, 6)])
+def test_window_partition_matches_windows_then_heads(shape, w, heads):
+    x = Tensor(np.random.default_rng(6).normal(size=shape).astype(np.float32))
+    got, want = window_partition(x, w, heads).data, _windows_then_heads(x, w, heads).data
+    assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("w,heads", [(2, 2), (3, 1), (4, 3)])
+def test_rel_pos_bias_gather_matches_flat_gather(w, heads):
+    # one gather straight to (heads, w*w, w*w) against the flat gather and its
+    # transpose; the VJPs both accumulate into the table
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=((2 * w - 1) ** 2, heads))
+    g = rng.normal(size=(heads, w * w, w * w))
+    idx = relative_position_index(w)
+    a, b = Tensor(table.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
+    one = T.getitem(a, (idx, np.arange(heads)[:, None, None]))
+    two = T.rearrange(T.getitem(b, idx.reshape(-1)), (heads, w * w, w * w), axes=(2, 0, 1),
+                      split=(w * w, w * w, heads))
+    assert one.data.tobytes() == np.ascontiguousarray(two.data).tobytes()
+    T.tsum(one * Tensor(g)).backward()
+    T.tsum(two * Tensor(g)).backward()
+    assert a.grad.tobytes() == b.grad.tobytes()
 
 
 @pytest.mark.parametrize("field", ["heads", "reduction", "window", "r1", "r2"])

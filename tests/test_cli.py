@@ -324,3 +324,76 @@ def test_resolved_config_is_printed(capsys):
     head = capsys.readouterr().out.splitlines()[0]
     assert head.startswith("resolved config (gradcheck):")
     assert '"seed": 3' in head
+
+
+@pytest.mark.parametrize("flags,message", [(["--fg-mean", "nan"], "fg_mean nan"),
+                                           (["--bg-mean", "inf", "--noise-sigma", "0"],
+                                            "bg_mean inf")])
+def test_gen_data_rejects_a_mean_a_pixel_cannot_store(tmp_path, capsys, flags, message):
+    # each used to exit 0 and write images of the wrong intensity
+    out = tmp_path / "ds"
+    assert run(["gen-data", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--history"])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_train_rejects_an_output_path_before_the_first_step(workspace, tmp_path, capsys,
+                                                            monkeypatch, flag, where):
+    # a checkpoint in a missing directory used to fail after the whole run
+    def forward(*args):
+        raise AssertionError("a step ran before the output paths were checked")
+
+    monkeypatch.setattr(sys.modules["mdtaf.train"], "model_forward", forward)
+    path = tmp_path / "missing" / "x.out" if where == "missing_dir" else tmp_path
+    assert run(["train", "--data", workspace["data"], "--steps", "1",
+                "--checkpoint", str(tmp_path / "m.ckpt"), flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:]}_path {path}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["infer", "bench", "gen-data"])
+def test_an_output_that_cannot_be_written_exits_1(workspace, tmp_path, capsys, command):
+    missing = str(tmp_path / "missing" / "o.out")
+    argv = {"infer": ["infer", "--checkpoint", workspace["ckpt"], "--image",
+                      os.path.join(workspace["data"], "sample_00000.pgm"), "--out", missing],
+            "bench": ["bench", "--kinds", "dense", "--sizes", "16", "--out", missing],
+            "gen-data": ["gen-data", "--out", workspace["ckpt"], "--count", "1"]}[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def mixed_sizes(tmp_path_factory):
+    """A 32x32 sample and a 48x48 one under one manifest."""
+    root = tmp_path_factory.mktemp("mixed")
+    assert run(["gen-data", "--out", str(root), "--count", "1", "--size", "32"]) == 0
+    assert run(["gen-data", "--out", str(root / "big"), "--count", "1", "--size", "48"]) == 0
+    rec = json.loads((root / "big" / "manifest.jsonl").read_text())
+    rec.update(id="big_00000", image_path="big/" + rec["image_path"],
+               mask_path="big/" + rec["mask_path"])
+    with open(root / "manifest.jsonl", "a") as f:
+        f.write(json.dumps(rec) + "\n")
+    return str(root)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_batch_of_mixed_sizes_names_the_samples(workspace, mixed_sizes, tmp_path, capsys,
+                                                  command):
+    # it used to end in numpy's "all input arrays must have the same shape"
+    ckpt = workspace["ckpt"] if command == "eval" else str(tmp_path / "m.ckpt")
+    assert run([command, "--data", mixed_sizes, "--checkpoint", ckpt,
+                "--batch-size", "2", *(["--steps", "1"] if command == "train" else [])]) == 1
+    err = capsys.readouterr().err
+    assert "sample_00000 (1, 32, 32)" in err and "big_00000 (1, 48, 48)" in err
+    assert "--resize" in err and "Traceback" not in err
+
+
+def test_batch_size_1_trains_on_mixed_sizes(mixed_sizes, tmp_path):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--data", mixed_sizes, "--steps", "2", "--batch-size", "1",
+                "--checkpoint", str(ckpt)]) == 0
+    assert run(["eval", "--data", mixed_sizes, "--checkpoint", str(ckpt),
+                "--batch-size", "1"]) == 0

@@ -138,6 +138,14 @@ def test_spec_values_that_cannot_work_are_rejected(kwargs, message):
         SynthSpec(**kwargs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, 1.5])
+@pytest.mark.parametrize("field", ["fg_mean", "bg_mean"])
+def test_means_a_pnm_pixel_cannot_store_are_rejected(field, value):
+    # a NaN mean used to write all-black images and print snr=nan
+    with pytest.raises(SpecError, match=f"{field} {value}"):
+        SynthSpec(**{field: value})
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         generate_samples(SynthSpec(family="squares", count=1))
