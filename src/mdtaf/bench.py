@@ -82,6 +82,9 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
         "ssa": (init_ssa, ssa, lambda n: flops_ssa(n, channels, window), window, 1, window),
         "csa": (init_csa, csa, lambda n: flops_csa(n, channels, heads), heads, 1, 1),
     }
+    for flag, values in (("--kinds", kinds), ("--sizes", sizes)):
+        if not values:
+            raise ConfigError(f"{flag}: the list is empty")
     rows, forwards = [], []
     rng = np.random.default_rng(seed)
     for n in sizes:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -54,6 +55,7 @@ _GELU_C = 0.044715
 _GELU_S = float(np.sqrt(2.0 / np.pi))
 
 ATTENTION_TILE = 1024  # query rows per tile of the attention core
+_LOG2E = float(np.log2(np.e))
 # Elements per block of a blocked elementwise chain (AdamW, GELU): a block's
 # operands (256 KB each in f32) stay in cache across the passes over it.
 BLOCK = 65536
@@ -478,56 +480,76 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     q: (..., N, d), k: (..., M, d), v: (..., M, dv); ``bias`` broadcasts
     against the (..., N, M) scores.  Rows are independent, so the queries run
     in tiles of ``ATTENTION_TILE`` rows (Rabe & Staats 2021,
-    arXiv:2112.05682), each writing its rows of one preallocated output.  A
-    tile scales its queries (tile x d) rather than its scores (tile x M),
-    then biases, max-subtracts and exponentiates the scores E in place, and
-    divides its output rows by E's row sums only after the ``E @ v`` GEMM:
-    the deferred normalization of FlashAttention (Dao et al. 2022,
+    arXiv:2112.05682), each writing its rows of one preallocated output.
+
+    Scores are kept in log2 units, as in FlashAttention-2 (Dao 2023,
+    arXiv:2307.08691): a tile scales its queries (tile x d, not its tile x M
+    scores) by ``scale * log2(e)``, adds a ``log2(e)``-scaled copy of the
+    bias made once per call, and exponentiates with ``exp2``.  By
+    Cauchy-Schwarz no score exceeds, in magnitude, ``B = |scale| log2(e)
+    max_i ||q_i|| max_j ||k_j|| + log2(e) max|bias|``, computed once per call.
+    When ``B`` is below half the dtype's exponent range (``finfo.maxexp //
+    2``: 64 for f32, 512 for f64) every ``2^s`` lies in [2^-B, 2^B], so no
+    entry of E overflows or is subnormal, a row sum stays finite, and the row
+    max is skipped; otherwise (a NaN or inf ``B`` included) each row is
+    shifted by its max first.  So ``exp2`` is the one elementwise pass over
+    a tile's scores E.  The ``E @ [v | 1]`` GEMM gives the output rows and, in
+    its last column, E's row sums, which divide the rows after the GEMM: the
+    deferred normalization of FlashAttention (Dao et al. 2022,
     arXiv:2205.14135).  The floats therefore differ from the composite
     ``matmul * scale + bias -> softmax -> matmul`` in the last bits.  A bias
     is sliced by rows only where its row axis has extent N.  Under
     ``no_grad`` every tile reuses one (..., tile, M) score buffer, so the
     scores never take more than one tile of memory, and E is never
     normalized.  On the tape each tile fills its rows of a full (..., N, M)
-    buffer and, after its GEMM, divides them by the same sums into the
-    probabilities P that the VJP reads through the closed form
-    ``dS = P*dP - P*rowsum(P*dP)`` with ``dP = g v^T``.
+    buffer and divides them by the same sums into the probabilities P.  The
+    VJP is ``dS = P * (dP - D)`` with ``dP = g v^T`` and ``D = rowsum(g *
+    out)``, which equals ``rowsum(P * dP)``.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
     parents = (q, k, v) if bias is None else (q, k, v, bias)
-    scale = q.data.dtype.type(scale)  # a float64 scale would promote f32 scores
-    n, m = q.shape[-2], k.shape[-2]
+    dt = q.data.dtype.type  # a float64 scale would promote f32 scores
+    scale, qscale = dt(scale), dt(float(scale) * _LOG2E)
+    n, m, dv = q.shape[-2], k.shape[-2], v.shape[-1]
     tile = min(n, ATTENTION_TILE)
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    lead = _broadcast(q.shape[:-2], k.shape[:-2])
+    olead = _broadcast(lead, v.shape[:-2])
     dtype = np.result_type(q.data, k.data)
     keep = _records(parents)
+    with np.errstate(over="ignore"):  # an inf bound takes the shift
+        bound = abs(float(qscale)) * math.sqrt(_max_sq_norm(q.data) * _max_sq_norm(k.data))
+        if bias is not None:
+            bias_log2 = bias.data * bias.data.dtype.type(_LOG2E)
+            bound += float(np.abs(bias_log2).max(initial=0))
+    shift = not bound < np.finfo(dtype).maxexp // 2
     p = np.empty(lead + (n if keep else tile, m), dtype=dtype)
-    q_tile = np.empty(q.shape[:-2] + (tile, q.shape[-1]), dtype=q.data.dtype)
-    out = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (n, v.shape[-1]),
-                   dtype=np.result_type(dtype, v.data))
+    v1 = np.empty(v.shape[:-1] + (dv + 1,), dtype=v.data.dtype)  # [v | 1]
+    v1[..., :dv] = v.data
+    v1[..., dv] = 1
+    out = np.empty(olead + (n, dv), dtype=np.result_type(dtype, v.data))
     kt = k.data.swapaxes(-1, -2)
     bias_rows = bias is not None and bias.ndim >= 2 and bias.shape[-2] == n
     for r0 in range(0, n, ATTENTION_TILE):
         rows = slice(r0, min(r0 + ATTENTION_TILE, n))
         h = rows.stop - r0
         s = p[..., rows, :] if keep else p[..., :h, :]
-        np.matmul(np.multiply(q.data[..., rows, :], scale, out=q_tile[..., :h, :]), kt, out=s)
+        np.matmul(q.data[..., rows, :] * qscale, kt, out=s)
         if bias is not None:
-            s += bias.data[..., rows, :] if bias_rows else bias.data
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
-        o = out[..., rows, :]
-        np.matmul(s, v.data, out=o)
-        o /= total
+            s += bias_log2[..., rows, :] if bias_rows else bias_log2
+        if shift:
+            s -= s.max(axis=-1, keepdims=True)
+        np.exp2(s, out=s)
+        ev = np.matmul(s, v1)
+        total = ev[..., dv:]
+        np.divide(ev[..., :dv], total, out=out[..., rows, :])
         if keep:
             s /= total
 
     def vjp(g):
         ds = np.matmul(g, v.data.swapaxes(-1, -2))
+        ds -= (g * out).sum(axis=-1, keepdims=True)
         ds *= p
-        ds -= p * ds.sum(axis=-1, keepdims=True)
         gbias = None
         if bias is not None:
             gbias = _unbroadcast(ds, bias.shape)
@@ -540,6 +562,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         return gq, gk, gv, gbias
 
     return _node(out, parents, vjp)
+
+
+def _broadcast(a: tuple, b: tuple) -> tuple:
+    """``np.broadcast_shapes(a, b)``, which costs microseconds, skipped when
+    the two shapes are equal."""
+    return a if a == b else np.broadcast_shapes(a, b)
+
+
+def _max_sq_norm(x: np.ndarray) -> float:
+    """The largest squared norm of a row of ``x`` (0 for no rows): the row
+    sums of squares are one GEMV."""
+    d = x.shape[-1]
+    return float((np.square(x).reshape(-1, d) @ _ones(d, x.dtype)).max(initial=0))
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:

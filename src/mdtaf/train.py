@@ -190,6 +190,11 @@ class TrainConfig:
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ConfigError(f"{name} {path}: no directory "
                                   f"{os.path.dirname(path)} to write it in")
+        # train also writes the best checkpoint beside the last one
+        best = self.checkpoint_path and self.checkpoint_path + ".best"
+        if best and os.path.isdir(best):
+            raise ConfigError(f"checkpoint_path {self.checkpoint_path}: "
+                              f"its best checkpoint {best} is a directory")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

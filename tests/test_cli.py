@@ -281,7 +281,11 @@ def test_bench_rejects_a_zero_count(capsys, flag):
 
 @pytest.mark.parametrize("flags,named", [(["--kinds", "foo"], "--kinds: unknown attention kind"),
                                          (["--sizes", "abc"], "--sizes 'abc'"),
-                                         (["--kinds", "ssa", "--sizes", "60"], "--sizes: ssa")])
+                                         (["--kinds", "ssa", "--sizes", "60"], "--sizes: ssa"),
+                                         (["--kinds", ",", "--sizes", "64"],
+                                          "--kinds: the list is empty"),
+                                         (["--kinds", "esa", "--sizes", ","],
+                                          "--sizes: the list is empty")])
 def test_bench_rejects_kinds_and_sizes_it_cannot_run(capsys, flags, named):
     assert run(["bench", *flags]) == 2
     err = capsys.readouterr().err
@@ -351,6 +355,21 @@ def test_train_rejects_an_output_path_before_the_first_step(workspace, tmp_path,
                 "--checkpoint", str(tmp_path / "m.ckpt"), flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{flag[2:]}_path {path}" in err and "Traceback" not in err
+
+
+def test_train_rejects_a_best_checkpoint_path_before_the_first_step(workspace, tmp_path,
+                                                                    capsys, monkeypatch):
+    # a directory at <checkpoint>.best used to fail after the whole run, exit 1
+    def forward(*args):
+        raise AssertionError("a step ran before the output paths were checked")
+
+    monkeypatch.setattr(sys.modules["mdtaf.train"], "model_forward", forward)
+    (tmp_path / "m.ckpt.best").mkdir()
+    assert run(["train", "--data", workspace["data"], "--steps", "3",
+                "--checkpoint", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "m.ckpt.best is a directory" in err and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["infer", "bench", "gen-data"])

@@ -202,14 +202,18 @@ def _attention_composite(q, k, v, scale, bias=None):
     return T.matmul(T.softmax(s, axis=-1), v)
 
 
-def _attention_deferred(q, k, v, scale, bias=None):
-    # the op's order in plain numpy: q scaled before the GEMM, rows
-    # normalized after E @ v
-    s = (q * q.dtype.type(scale)) @ k.swapaxes(-1, -2)
+def _attention_deferred(q, k, v, scale, bias=None, shift=False):
+    # the op's order in plain numpy: scores in log2 units from q scaled before
+    # the GEMM, each row shifted by its max only when ``shift``, and rows
+    # normalized by the last column of E @ [v | 1] after the GEMM
+    log2e = np.log2(np.e)
+    s = (q * q.dtype.type(scale * log2e)) @ k.swapaxes(-1, -2)
     if bias is not None:
-        s = s + bias
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return (e @ v) / e.sum(axis=-1, keepdims=True)
+        s = s + bias * bias.dtype.type(log2e)
+    if shift:
+        s = s - s.max(axis=-1, keepdims=True)
+    ev = np.exp2(s) @ np.concatenate([v, np.ones_like(v[..., :1])], axis=-1)
+    return ev[..., :-1] / ev[..., -1:]
 
 
 @pytest.mark.parametrize("with_bias", [False, True])
@@ -288,6 +292,73 @@ def test_grad_attention_across_tiles(with_bias):
         return T.tsum(T.attention(q, k, v, 0.5, bias) * probe)
 
     assert grad_check(f, qkv + [_t(1, 9, m)]) < TOL
+
+
+def _attention_leaves(rng, dtype, qk_scale=1.0, bias_scale=None):
+    def leaf(*shape, scale=1.0):
+        return Tensor((rng.normal(size=shape) * scale).astype(dtype), requires_grad=True)
+
+    leaves = [leaf(2, 3, 40, 8, scale=qk_scale), leaf(2, 3, 24, 8, scale=qk_scale),
+              leaf(2, 3, 24, 5)]
+    return leaves + ([leaf(3, 40, 24, scale=bias_scale)] if bias_scale else [])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_attention_skips_the_row_max_on_ordinary_scores(dtype, with_bias):
+    leaves = _attention_leaves(np.random.default_rng(5), dtype,
+                               bias_scale=1.0 if with_bias else None)
+    data = [t.data for t in leaves]
+    with no_grad():
+        got = T.attention(*leaves[:3], 0.35, *leaves[3:]).data
+    assert np.array_equal(got, _attention_deferred(*data[:3], 0.35, *data[3:]))
+    assert not np.array_equal(got, _attention_deferred(*data[:3], 0.35, *data[3:], shift=True))
+
+
+# scores near +-1e3: 2^(1e3 log2 e) overflows f32, so these rows need the shift
+_LARGE_SCORES = {"qk": dict(qk_scale=20.0), "bias": dict(bias_scale=1e3)}
+
+
+@pytest.mark.parametrize("case", sorted(_LARGE_SCORES))
+def test_attention_shifts_rows_whose_bound_exceeds_the_limit(case):
+    leaves = _attention_leaves(np.random.default_rng(6), np.float32, **_LARGE_SCORES[case])
+    data = [t.data for t in leaves]
+    scores = data[0] @ data[1].swapaxes(-1, -2) * 0.35 + (data[3] if len(data) > 3 else 0)
+    assert 500 < np.abs(scores).max() < 5000
+    y = T.attention(*leaves[:3], 0.35, *leaves[3:])
+    assert np.array_equal(y.data, _attention_deferred(*data[:3], 0.35, *data[3:], shift=True))
+    probe = Tensor(np.random.default_rng(7).normal(size=y.shape).astype(np.float32))
+    T.tsum(y * probe).backward()
+    got = [y.data] + [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    ref = _attention_composite(*leaves[:3], 0.35, *leaves[3:])
+    T.tsum(ref * probe).backward()
+    for a, b in zip(got, [ref.data] + [t.grad for t in leaves]):
+        assert np.isfinite(a).all()
+        assert np.abs(a - b).max() / max(1.0, np.abs(b).max()) < TOL
+
+
+def _attention_grads_rowsum(q, k, v, scale, bias, g):
+    # the VJP as it was: dS = dP*P - P*rowsum(dP*P), from a numpy softmax
+    s = q @ k.swapaxes(-1, -2) * scale + bias
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    ds = (g @ v.swapaxes(-1, -2)) * p
+    ds -= p * ds.sum(axis=-1, keepdims=True)
+    return ds @ k * scale, (ds * scale).swapaxes(-1, -2) @ q, p.swapaxes(-1, -2) @ g, ds.sum(0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_vjp_through_d_matches_the_rowsum_form(dtype):
+    rng = np.random.default_rng(8)
+    leaves = _attention_leaves(rng, dtype, bias_scale=1.0)
+    g = rng.normal(size=(2, 3, 40, 5)).astype(dtype)
+    T.tsum(T.attention(*leaves[:3], 0.35, leaves[3]) * Tensor(g)).backward()
+    want = _attention_grads_rowsum(*(t.data for t in leaves[:3]), 0.35, leaves[3].data, g)
+    for t, b in zip(leaves, want):
+        assert t.grad.dtype == dtype
+        assert np.abs(t.grad - b).max() / max(1.0, np.abs(b).max()) < TOL
 
 
 def test_attention_no_grad_scores_take_one_tile():
