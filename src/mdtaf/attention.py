@@ -67,10 +67,12 @@ class BlockConfig:
 # ---------------------------------------------------------------------------
 # window rearrangement
 
-def window_partition(x: Tensor, w: int, heads: int = 1) -> Tensor:
-    """B,H,W,C -> (B * H/w * W/w), heads, w*w, C/heads in one node: the head
-    split windows :func:`tensor.attention` reads, row-major within each."""
-    b, h, wd, c = x.shape
+def window_partition(x: Tensor, w: int, h: int, wd: int, heads: int = 1) -> Tensor:
+    """Row-major B,N,C tokens of an h x wd map -> (B*h/w*wd/w), heads, w*w, C/heads
+    in one node: the head split windows :func:`tensor.attention` reads, row-major."""
+    b, n, c = x.shape
+    if n != h * wd:
+        raise ShapeError(f"token count {n} != {h}x{wd}")
     if h % w or wd % w:
         raise ConfigError(f"window size {w} does not divide spatial extent {h}x{wd}")
     return T.rearrange(x, (b * (h // w) * (wd // w), heads, w * w, c // heads),
@@ -79,11 +81,10 @@ def window_partition(x: Tensor, w: int, heads: int = 1) -> Tensor:
 
 
 def window_merge(x: Tensor, w: int, h: int, wd: int) -> Tensor:
-    """Exact inverse of :func:`window_partition`, back to B,H,W,C in one node."""
-    nwin, heads, _, d = x.shape
-    nb = nwin // ((h // w) * (wd // w))
-    return T.rearrange(x, (nb, h, wd, heads * d), axes=(0, 1, 4, 2, 5, 3, 6),
-                       split=(nb, h // w, wd // w, heads, w, w, d))
+    """Exact inverse of :func:`window_partition`, back to B,N,C tokens in one node."""
+    _, heads, _, d = x.shape  # -1: the batch, the window count over windows per map
+    return T.rearrange(x, (-1, h * wd, heads * d), axes=(0, 1, 4, 2, 5, 3, 6),
+                       split=(-1, h // w, wd // w, heads, w, w, d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,22 +228,18 @@ def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     """Multi-head attention within ``cfg.window`` windows plus a learnable
     relative-position bias per head (the Swin form); the window layout is one
     node each way and the bias one gather of its table."""
-    b, n, c = x.shape
-    if n != h * w:
-        raise ShapeError(f"token count {n} != {h}x{w}")
     win, heads = cfg.window, cfg.heads
 
     q, k, v = (linear(params, f"{prefix}.{name}", x) for name in ("wq", "wk", "wv"))
-    qw, kw, vw = (window_partition(T.rearrange(t, (b, h, w, c)), win, heads)
-                  for t in (q, k, v))
+    qw, kw, vw = (window_partition(t, win, h, w, heads) for t in (q, k, v))
 
     # (heads, w*w, w*w): entry [g, i, j] is table[index[i, j], g]
     bias = T.getitem(params[f"{prefix}.rel_pos_bias"],
                      (relative_position_index(win), np.arange(heads)[:, None, None]))
     yw = T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias)
     # passed unnamed, so the windowed output is freed once it is merged
-    return _interact_and_merge(T.rearrange(window_merge(yw, win, h, w), (b, n, c)),
-                               x, h, w, params, prefix, "gate_c", residual)
+    return _interact_and_merge(window_merge(yw, win, h, w), x, h, w, params, prefix,
+                               "gate_c", residual)
 
 
 # ---------------------------------------------------------------------------

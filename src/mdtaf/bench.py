@@ -85,7 +85,7 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
     for flag, values in (("--kinds", kinds), ("--sizes", sizes)):
         if not values:
             raise ConfigError(f"{flag}: the list is empty")
-    rows, forwards = [], []
+    rows, forwards, bad = [], [], []
     rng = np.random.default_rng(seed)
     for n in sizes:
         if n < 1:
@@ -99,13 +99,16 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
             cfg = AttentionConfig(channels, heads, reduction=r, window=window, r1=8, r2=8)
             side = int(round(np.sqrt(n)))  # grid side; ignored by the token kinds
             if multiple is not None and (side * side != n or side % multiple):
-                raise ConfigError(f"--sizes: {kind} needs square N with side divisible "
-                                  f"by {multiple}, got N={n}")
+                bad.append(f"{kind} needs square N with side divisible by {multiple}, got N={n}")
+            elif n % r:
+                bad.append(f"{kind} needs N divisible by its reduction {r}, got N={n}")
             store = ParamStore()
             init(store, Initializer(seed), "a", cfg)
             forwards.append(functools.partial(forward, x, side, cfg, store))
             rows.append({"kind": kind, "N": n, "C": channels, "R_or_w": rknob,
                          "flops_estimate": flops(n)})
+    if bad:  # one error names every size a kind cannot run
+        raise ConfigError("--sizes: " + "; ".join(bad))
     with no_grad():  # no row is timed before every input is checked
         for row, fwd in zip(rows, forwards):
             row.update(wall_ms=_time(fwd), peak_mb=_peak_mb(fwd))

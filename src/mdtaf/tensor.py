@@ -439,9 +439,8 @@ def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:
     alignment); the output is a channel-last view."""
     if ph == 0 and pw == 0:
         return a
-    b, c, h, w = a.shape
-    out = np.zeros((b, h + ph, w + pw, c), a.data.dtype).transpose(0, 3, 1, 2)
-    out[:, :, :h, :w] = a.data
+    h, w = a.shape[2:]
+    out = _padded(a.data, 0, h + ph, w + pw).transpose(0, 3, 1, 2)
 
     def vjp(g):
         return (g[:, :, :h, :w],)
@@ -477,10 +476,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               bias: Optional[Tensor] = None) -> Tensor:
     """``softmax(q @ k^T * scale + bias, axis=-1) @ v`` as one tape node.
 
-    q: (..., N, d), k: (..., M, d), v: (..., M, dv); ``bias`` broadcasts
-    against the (..., N, M) scores.  Rows are independent, so the queries run
-    in tiles of ``ATTENTION_TILE`` rows (Rabe & Staats 2021,
-    arXiv:2112.05682), each writing its rows of one preallocated output.
+    q is (L..., N, d), k (L..., M, d) and v (L..., M, dv), one leading shape L
+    for all three; a ``bias`` ends in (N, M) and broadcasts over L only.  Any
+    other shape raises ``ShapeError``.  Scores and output take q's dtype.
+    Rows are independent, so the queries run in tiles of ``ATTENTION_TILE``
+    rows (Rabe & Staats 2021, arXiv:2112.05682), each writing its rows of one
+    preallocated output.
 
     Scores are kept in log2 units, as in FlashAttention-2 (Dao 2023,
     arXiv:2307.08691): a tile scales its queries (tile x d, not its tile x M
@@ -497,8 +498,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     its last column, E's row sums, which divide the rows after the GEMM: the
     deferred normalization of FlashAttention (Dao et al. 2022,
     arXiv:2205.14135).  The floats therefore differ from the composite
-    ``matmul * scale + bias -> softmax -> matmul`` in the last bits.  A bias
-    is sliced by rows only where its row axis has extent N.  Under
+    ``matmul * scale + bias -> softmax -> matmul`` in the last bits.  Under
     ``no_grad`` every tile reuses one (..., tile, M) score buffer, so the
     scores never take more than one tile of memory, and E is never
     normalized.  On the tape each tile fills its rows of a full (..., N, M)
@@ -506,37 +506,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     VJP is ``dS = P * (dP - D)`` with ``dP = g v^T`` and ``D = rowsum(g *
     out)``, which equals ``rowsum(P * dP)``.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
+    lead = q.shape[:-2]
+    if (q.ndim < 2 or v.ndim != q.ndim or v.shape[:-2] != lead
+            or k.shape != lead + (v.shape[-2], q.shape[-1]) or bias is not None and (
+                bias.shape[-2:] != (q.shape[-2], v.shape[-2]) or bias.ndim > q.ndim
+                or any(e not in (1, f) for e, f in zip(bias.shape[:-2][::-1], lead[::-1])))):
+        raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"bias {getattr(bias, 'shape', None)}")
     parents = (q, k, v) if bias is None else (q, k, v, bias)
     dt = q.data.dtype.type  # a float64 scale would promote f32 scores
     scale, qscale = dt(scale), dt(float(scale) * _LOG2E)
     n, m, dv = q.shape[-2], k.shape[-2], v.shape[-1]
     tile = min(n, ATTENTION_TILE)
-    lead = _broadcast(q.shape[:-2], k.shape[:-2])
-    olead = _broadcast(lead, v.shape[:-2])
-    dtype = np.result_type(q.data, k.data)
     keep = _records(parents)
     with np.errstate(over="ignore"):  # an inf bound takes the shift
         bound = abs(float(qscale)) * math.sqrt(_max_sq_norm(q.data) * _max_sq_norm(k.data))
         if bias is not None:
             bias_log2 = bias.data * bias.data.dtype.type(_LOG2E)
             bound += float(np.abs(bias_log2).max(initial=0))
-    shift = not bound < np.finfo(dtype).maxexp // 2
-    p = np.empty(lead + (n if keep else tile, m), dtype=dtype)
+    shift = not bound < np.finfo(q.dtype).maxexp // 2
+    p = np.empty(lead + (n if keep else tile, m), dtype=q.dtype)
     v1 = np.empty(v.shape[:-1] + (dv + 1,), dtype=v.data.dtype)  # [v | 1]
     v1[..., :dv] = v.data
     v1[..., dv] = 1
-    out = np.empty(olead + (n, dv), dtype=np.result_type(dtype, v.data))
+    out = np.empty(lead + (n, dv), dtype=q.dtype)
     kt = k.data.swapaxes(-1, -2)
-    bias_rows = bias is not None and bias.ndim >= 2 and bias.shape[-2] == n
     for r0 in range(0, n, ATTENTION_TILE):
         rows = slice(r0, min(r0 + ATTENTION_TILE, n))
         h = rows.stop - r0
         s = p[..., rows, :] if keep else p[..., :h, :]
         np.matmul(q.data[..., rows, :] * qscale, kt, out=s)
         if bias is not None:
-            s += bias_log2[..., rows, :] if bias_rows else bias_log2
+            s += bias_log2[..., rows, :]
         if shift:
             s -= s.max(axis=-1, keepdims=True)
         np.exp2(s, out=s)
@@ -556,18 +557,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             if gbias is ds:  # ds is scaled in place below
                 gbias = ds.copy()
         ds *= scale
-        gq = _unbroadcast(np.matmul(ds, k.data), q.shape)
-        gk = _unbroadcast(np.matmul(q.data.swapaxes(-1, -2), ds).swapaxes(-1, -2), k.shape)
-        gv = _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), v.shape)
-        return gq, gk, gv, gbias
+        gq = np.matmul(ds, k.data)
+        gk = np.matmul(q.data.swapaxes(-1, -2), ds).swapaxes(-1, -2)
+        return gq, gk, np.matmul(p.swapaxes(-1, -2), g), gbias
 
     return _node(out, parents, vjp)
-
-
-def _broadcast(a: tuple, b: tuple) -> tuple:
-    """``np.broadcast_shapes(a, b)``, which costs microseconds, skipped when
-    the two shapes are equal."""
-    return a if a == b else np.broadcast_shapes(a, b)
 
 
 def _max_sq_norm(x: np.ndarray) -> float:

@@ -240,6 +240,12 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
     denom = max(total_steps - 1, 1)
 
     history: list[dict] = []
+
+    def write_history():  # also on divergence: the records show what grew
+        if train_cfg.history_path:
+            with open(train_cfg.history_path, "w") as f:
+                f.writelines(json.dumps(rec) + "\n" for rec in history)
+
     best_dice = -1.0
     step = 0
     done = False
@@ -252,6 +258,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
             loss = bce_loss(logits, masks)
             loss_val = loss.item()
             if not math.isfinite(loss_val):
+                write_history()
                 raise TrainingDiverged(f"non-finite loss at step {step}")
             loss.backward()
             adamw_step(params, opt, lr)
@@ -259,6 +266,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
                      "param_norm": float(np.linalg.norm(params.flat()))}
             for name, value in norms.items():
                 if not math.isfinite(value):
+                    write_history()
                     raise TrainingDiverged(f"non-finite {name} at step {step}")
             history.append({"step": step, "lr": lr, "loss": loss_val, **norms})
             step += 1
@@ -278,10 +286,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
         save_checkpoint(params, model_cfg, train_cfg.checkpoint_path)
         if m.dice > best_dice:
             save_checkpoint(params, model_cfg, train_cfg.checkpoint_path + ".best")
-    if train_cfg.history_path:
-        with open(train_cfg.history_path, "w") as f:
-            for rec in history:
-                f.write(json.dumps(rec) + "\n")
+    write_history()
     return params, history
 
 

@@ -19,7 +19,7 @@ from mdtaf.attention import (AttentionConfig, BlockConfig, channel_self_attentio
                              window_partition)
 from mdtaf.layers import token_norm
 from mdtaf.params import Initializer, ParamStore
-from mdtaf.tensor import ConfigError, Tensor, no_grad
+from mdtaf.tensor import ConfigError, ShapeError, Tensor, no_grad
 from mdtaf.verify import channel_attention_oracle, dense_attention_oracle
 
 
@@ -38,14 +38,14 @@ def test_window_roundtrip_is_bit_exact(w, hm, wm, c, seed, data):
     h, wd = w * hm, w * wm
     heads = data.draw(st.sampled_from([d for d in range(1, c + 1) if c % d == 0]))
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(2, h, wd, c)).astype(np.float32))
-    y = window_merge(window_partition(x, w, heads), w, h, wd)
+    x = Tensor(rng.normal(size=(2, h, wd, c)).astype(np.float32).reshape(2, h * wd, c))
+    y = window_merge(window_partition(x, w, h, wd, heads), w, h, wd)
     assert np.array_equal(x.data, y.data)
 
 
 def _windows_then_heads(x, w, heads):
-    """The earlier three-node chain: windows as (B*H/w*W/w, w*w, C), then the
-    head split of each window's tokens."""
+    """The earlier chain on a B,H,W,C map: windows as (B*H/w*W/w, w*w, C),
+    then the head split of each window's tokens."""
     b, h, wd, c = x.shape
     t = T.rearrange(x, (b * (h // w) * (wd // w), w * w, c), axes=(0, 1, 3, 2, 4, 5),
                     split=(b, h // w, w, wd // w, w, c))
@@ -56,8 +56,12 @@ def _windows_then_heads(x, w, heads):
 @pytest.mark.parametrize("shape,w,heads", [((2, 4, 6, 6), 2, 3), ((1, 8, 8, 8), 4, 2),
                                            ((3, 3, 6, 4), 3, 1), ((1, 4, 4, 6), 1, 6)])
 def test_window_partition_matches_windows_then_heads(shape, w, heads):
+    # tokens in, against the reference chain on the B,H,W,C view of the same data
+    b, h, wd, c = shape
     x = Tensor(np.random.default_rng(6).normal(size=shape).astype(np.float32))
-    got, want = window_partition(x, w, heads).data, _windows_then_heads(x, w, heads).data
+    tokens = Tensor(x.data.reshape(b, h * wd, c))
+    got = window_partition(tokens, w, h, wd, heads).data
+    want = _windows_then_heads(x, w, heads).data
     assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
@@ -88,9 +92,16 @@ def test_non_positive_counts_are_rejected(field, value):
 
 
 def test_window_partition_rejects_nondivisible():
-    x = Tensor(np.zeros((1, 6, 6, 2)))
+    x = Tensor(np.zeros((1, 6, 6, 2)).reshape(1, 36, 2))
     with pytest.raises(ConfigError):
-        window_partition(x, 4)
+        window_partition(x, 4, 6, 6)
+
+
+@pytest.mark.parametrize("h,wd", [(6, 8), (8, 6), (4, 4)])
+def test_window_partition_rejects_a_token_count_off_the_map(h, wd):
+    x = Tensor(np.zeros((1, 36, 2)))
+    with pytest.raises(ShapeError, match=f"token count 36 != {h}x{wd}"):
+        window_partition(x, 2, h, wd)
 
 
 def test_window_partition_groups_pixels_by_window():
@@ -99,8 +110,8 @@ def test_window_partition_groups_pixels_by_window():
     w = 2
     labels = np.arange(h * wd).reshape(h, wd) // 1
     wid = (np.arange(h)[:, None] // w) * (wd // w) + np.arange(wd)[None, :] // w
-    x = Tensor(wid[None, :, :, None].astype(np.float64))
-    parts = window_partition(x, w).data[..., 0]
+    x = Tensor(wid[None, :, :, None].astype(np.float64).reshape(1, h * wd, 1))
+    parts = window_partition(x, w, h, wd).data[..., 0]
     for i in range(parts.shape[0]):
         assert np.unique(parts[i]).size == 1
 

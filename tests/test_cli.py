@@ -292,8 +292,9 @@ def test_bench_rejects_kinds_and_sizes_it_cannot_run(capsys, flags, named):
     assert named in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("kinds,sizes,named", [("esa,foo", "64", "'foo'"),
-                                               ("esa,ssa", "64,60", "ssa needs square N")])
+@pytest.mark.parametrize("kinds,sizes,named", [
+    ("esa,foo", "64", "'foo'"), ("esa,ssa", "64,60", "ssa needs square N"),
+    ("dense,esa", "64,100", "esa needs N divisible by its reduction 8")])
 def test_bench_checks_every_input_before_the_first_timed_row(capsys, monkeypatch,
                                                              kinds, sizes, named):
     def timed(fn, repeats=3):

@@ -250,6 +250,46 @@ def test_attention_keeps_f32_under_f64_scale():
     assert q.grad.dtype == np.float32
 
 
+_QKV = ((2, 3, 4, 8), (2, 3, 6, 8), (2, 3, 6, 5))
+
+
+@pytest.mark.parametrize("shapes", [
+    ((2, 3, 4, 8), (3, 6, 8), (3, 6, 5)),
+    ((2, 3, 4, 8), (2, 3, 6, 8), (1, 3, 6, 5)),
+    ((2, 3, 4, 8), (2, 1, 6, 8), (2, 3, 6, 5)),
+    ((2, 3, 4, 8), (2, 3, 6, 7), (2, 3, 6, 5)),
+    ((2, 3, 4, 8), (2, 3, 6, 8), (2, 3, 5, 5)),
+    _QKV + ((3, 1, 6),),
+    _QKV + ((6,),),
+    _QKV + ((4, 5),),
+    _QKV + ((2, 2, 4, 6),),
+    _QKV + ((5, 2, 3, 4, 6),),
+], ids=["k_lead", "v_lead", "k_lead_broadcast", "k_width", "v_rows",
+        "bias_row_broadcast", "bias_1d", "bias_cols", "bias_lead", "bias_extra_axis"])
+def test_attention_rejects_shapes_off_the_contract(shapes):
+    args = [Tensor(np.zeros(s)) for s in shapes]
+    with pytest.raises(ShapeError, match=r"attention shapes differ: q \(2, 3, 4, 8\)"):
+        T.attention(*args[:3], 0.5, *args[3:])
+
+
+@pytest.mark.parametrize("bias_shape", [(4, 6), (1, 4, 6), (3, 4, 6), (2, 1, 4, 6)])
+def test_attention_bias_broadcasts_over_the_leading_shape(bias_shape):
+    rng = np.random.default_rng(9)
+    q, k, v = (Tensor(rng.normal(size=s)) for s in _QKV)
+    bias = Tensor(rng.normal(size=bias_shape), requires_grad=True)
+    full = Tensor(np.broadcast_to(bias.data, (2, 3, 4, 6)).copy(), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    y, y_full = T.attention(q, k, v, 0.5, bias), T.attention(q, k, v, 0.5, full)
+    assert np.array_equal(y.data, y_full.data)
+    T.tsum(y * probe).backward()
+    T.tsum(y_full * probe).backward()
+    want = full.grad.sum(axis=tuple(range(4 - len(bias_shape))))
+    want = want.sum(axis=tuple(i for i, e in enumerate(bias_shape[:-2]) if e == 1),
+                    keepdims=True)
+    assert bias.grad.shape == bias_shape
+    assert np.allclose(bias.grad, want, rtol=1e-12, atol=1e-14)
+
+
 # N = 1029 queries: one full tile of T.ATTENTION_TILE rows and a ragged tail
 _TILED_N, _TILED_M = T.ATTENTION_TILE + 5, 7
 
@@ -952,9 +992,9 @@ def tape_nodes(monkeypatch):
     (map_to_tokens, (2, 3, 4, 6)),
     (lambda x: _split_heads(x, 2), (2, 5, 6)),
     (_merge_heads, (2, 2, 5, 3)),
-    (lambda x: window_partition(x, 2), (2, 4, 6, 3)),
+    (lambda x: window_partition(x, 2, 4, 6), (2, 24, 3)),
     (lambda x: window_merge(x, 2, 4, 6), (12, 1, 4, 3)),
-    (lambda x: window_partition(x, 2, 3), (2, 4, 6, 6)),
+    (lambda x: window_partition(x, 2, 4, 6, 3), (2, 24, 6)),
     (lambda x: window_merge(x, 2, 4, 6), (12, 3, 4, 2)),
 ], ids=["tokens_to_map", "map_to_tokens", "split_heads", "merge_heads",
         "window_partition", "window_merge", "window_partition_heads", "window_merge_heads"])
@@ -964,7 +1004,7 @@ def test_layout_helpers_record_one_node(helper, shape, tape_nodes):
     assert tape_nodes[0] == 1 and y._parents == (x,)
 
 
-@pytest.mark.parametrize("preset,size,most", [(tiny_config, 32, 563), (desk_config, 64, 561)])
+@pytest.mark.parametrize("preset,size,most", [(tiny_config, 32, 547), (desk_config, 64, 545)])
 def test_forward_tape_size(preset, size, most, tape_nodes):
     # a grad-mode forward, with each layout helper one node
     cfg = preset()

@@ -379,6 +379,19 @@ def test_train_raises_on_divergence():
         train(cfg, tcfg, ds)
 
 
+def test_a_diverging_run_keeps_its_history(tmp_path):
+    # the loss turns non-finite at step 1; step 0's record and no checkpoint remain
+    hist, ckpt = tmp_path / "h.jsonl", tmp_path / "m.ckpt"
+    tcfg = TrainConfig(batch_size=4, max_steps=40, seed=0, lr_max=1e6, lr_min=1e6,
+                       history_path=str(hist), checkpoint_path=str(ckpt))
+    with pytest.raises(TrainingDiverged):
+        train(tiny_config(), tcfg, _toy_dataset())
+    records = [json.loads(line) for line in hist.read_text().splitlines()]
+    assert records[0]["step"] == 0 and {"loss", "grad_norm", "param_norm"} <= set(records[0])
+    assert all(math.isfinite(v) for rec in records for v in rec.values())
+    assert not ckpt.exists() and not (tmp_path / "m.ckpt.best").exists()
+
+
 def test_evaluate_returns_macro_averages():
     ds = _toy_dataset(n=3)
     cfg = tiny_config()
