@@ -262,7 +262,7 @@ def channel_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
     alpha = T.rearrange(params[f"{prefix}.alpha"], (1, cfg.heads, 1, 1))
     # (d x d) Gram attention over channels, softmax along the last channel axis
     gram = T.matmul(qt, kh) / alpha
-    attn = T.softmax(gram, axis=-1)
+    attn = T.softmax(gram)
     y = _merge_heads(T.matmul(vh, attn))
     return _interact_and_merge(y, x, h, w, params, prefix, "gate_s", residual)
 

@@ -1,7 +1,7 @@
 """Latency / FLOP / memory benchmarking of the attention variants.
 
 FLOP estimates are closed-form multiply-add counts (x2), which is what the
-O(N^2) vs O(N^2/R) complexity claim is about; wall time is a best-of-k
+O(N^2) vs O(N^2/R) complexity claim is about; wall time is a best-of-3
 forward measurement; peak memory is the tracemalloc peak of one more
 forward, run apart from the timed ones so that tracing does not slow them.
 """
@@ -41,10 +41,10 @@ def flops_csa(n: int, c: int, heads: int) -> float:
     return 8.0 * n * c * c + 4.0 * n * c * d
 
 
-def _time(fn, repeats: int = 3) -> float:
+def _time(fn) -> float:
     fn()  # warm-up
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -62,7 +62,7 @@ def _peak_mb(fn) -> float:
 
 
 def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
-                    reduction: int = 8, window: int = 8, seed: int = 0):
+                    reduction: int = 8, window: int = 8):
     """Return CSV-ready rows: {kind, N, C, R_or_w, flops_estimate, wall_ms, peak_mb}."""
     def esa(x, side, cfg, store):
         return efficient_self_attention(x, cfg, store, "a")
@@ -86,7 +86,7 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
         if not values:
             raise ConfigError(f"{flag}: the list is empty")
     rows, forwards, bad = [], [], []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for n in sizes:
         if n < 1:
             raise ConfigError(f"--sizes: size {n} is not positive")
@@ -103,7 +103,7 @@ def bench_attention(kinds, sizes, channels: int = 64, heads: int = 2,
             elif n % r:
                 bad.append(f"{kind} needs N divisible by its reduction {r}, got N={n}")
             store = ParamStore()
-            init(store, Initializer(seed), "a", cfg)
+            init(store, Initializer(0), "a", cfg)
             forwards.append(functools.partial(forward, x, side, cfg, store))
             rows.append({"kind": kind, "N": n, "C": channels, "R_or_w": rknob,
                          "flops_estimate": flops(n)})

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as D
 from . import model as M
-from .train import (TrainConfig, TrainingDiverged, evaluate_checkpoint, predict_mask,
+from .train import (TrainConfig, TrainingDiverged, evaluate, predict_mask,
                     train as run_training)
 from .bench import bench_attention
 from .tensor import ConfigError, Tensor, no_grad
@@ -46,14 +46,14 @@ def _build_parser():
 
     g = sub.add_parser("gen-data", help="generate a synthetic segmentation dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--count", type=int, default=8)
-    g.add_argument("--size", type=int, default=64)
-    g.add_argument("--family", choices=("ellipses", "blobs", "lungs"), default="ellipses")
-    g.add_argument("--fg-mean", type=float, default=0.75)
-    g.add_argument("--bg-mean", type=float, default=0.35)
-    g.add_argument("--noise-sigma", type=float, default=0.15)
-    g.add_argument("--blur-radius", type=int, default=1)
-    g.add_argument("--channels", type=int, default=1)
+    g.add_argument("--count", type=int, default=D.SynthSpec.count)
+    g.add_argument("--size", type=int, default=D.SynthSpec.size)
+    g.add_argument("--family", choices=tuple(D.MIN_SIZE), default=D.SynthSpec.family)
+    g.add_argument("--fg-mean", type=float, default=D.SynthSpec.fg_mean)
+    g.add_argument("--bg-mean", type=float, default=D.SynthSpec.bg_mean)
+    g.add_argument("--noise-sigma", type=float, default=D.SynthSpec.noise_sigma)
+    g.add_argument("--blur-radius", type=int, default=D.SynthSpec.blur_radius)
+    g.add_argument("--channels", type=int, default=D.SynthSpec.channels)
     g.add_argument("--seed", type=int, default=None)
 
     t = sub.add_parser("train", help="train on an image/mask directory")
@@ -61,11 +61,11 @@ def _build_parser():
     t.add_argument("--preset", choices=("desk", "paper"), default="desk")
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--steps", type=int, default=None, help="cap on total steps")
-    t.add_argument("--batch-size", type=int, default=8)
-    t.add_argument("--lr-max", type=float, default=1e-4)
-    t.add_argument("--lr-min", type=float, default=1e-6)
-    t.add_argument("--weight-decay", type=float, default=1e-2)
-    t.add_argument("--eval-interval", type=int, default=0)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--lr-max", type=float, default=TrainConfig.lr_max)
+    t.add_argument("--lr-min", type=float, default=TrainConfig.lr_min)
+    t.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    t.add_argument("--eval-interval", type=int, default=TrainConfig.eval_interval)
     t.add_argument("--resize", type=int, default=None)
     t.add_argument("--checkpoint", default="mdtaf.ckpt")
     t.add_argument("--history", default=None)
@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
         print("error: empty dataset", file=sys.stderr)
         return 1
     cfg = _model_cfg(args, dataset[0].image.shape[0])
-    epochs = args.epochs if args.epochs is not None else (1 if args.steps else 100)
+    epochs = args.epochs if args.epochs is not None else (1 if args.steps else TrainConfig.epochs)
     tcfg = TrainConfig(epochs=epochs, batch_size=args.batch_size,
                           lr_max=args.lr_max, lr_min=args.lr_min,
                           weight_decay=args.weight_decay, seed=args.seed,
@@ -185,7 +185,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = D.load_dataset(args.data, size=args.resize)
-    m = evaluate_checkpoint(args.checkpoint, dataset, batch_size=args.batch_size)
+    params, cfg = M.load_checkpoint(args.checkpoint)
+    m = evaluate(cfg, params, dataset, batch_size=args.batch_size)
     print(f"acc={m.accuracy:.4f} dice={m.dice:.4f} loss={m.loss:.4f} n={m.count}")
     return 0
 

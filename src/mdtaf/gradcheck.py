@@ -13,13 +13,15 @@ import numpy as np
 
 from .tensor import GraphError, Tensor, backward, no_grad
 
+EPS = 1e-5  # central-difference step
+
 
 def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1e-8, abs(analytic), abs(numeric))
 
 
 def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
-               eps: float = 1e-5, max_coords: Optional[int] = None,
+               max_coords: Optional[int] = None,
                rng: Optional[np.random.Generator] = None,
                min_grad: float = 0.0) -> float:
     """Return the max relative error between analytic and numeric gradients.
@@ -61,12 +63,12 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
         for i in coords:
             orig = flat[i]
             with no_grad():
-                flat[i] = orig + eps
+                flat[i] = orig + EPS
                 f_plus = fn(*inputs).data.item()
-                flat[i] = orig - eps
+                flat[i] = orig - EPS
                 f_minus = fn(*inputs).data.item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * EPS)
             worst = max(worst, relative_error(float(gflat[i]), numeric))
     return worst
 

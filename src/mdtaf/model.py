@@ -218,7 +218,7 @@ def mlp_decoder(features: list, cfg: ModelConfig, params: ParamStore) -> Tensor:
     return T.bilinear_resize(tokens_to_map(logits, h1, w1), 4 * h1, 4 * w1)
 
 
-def pad_to_multiple(image: Tensor, multiple: int = 32) -> Tensor:
+def pad_to_multiple(image: Tensor, multiple: int) -> Tensor:
     """Reflect-pad H and W at their high ends up to the next multiple: one
     gather on the tape, whether or not the image is tracked."""
     h, w = image.shape[2], image.shape[3]
@@ -233,7 +233,8 @@ def pad_to_multiple(image: Tensor, multiple: int = 32) -> Tensor:
 def model_forward(image: Tensor, cfg: ModelConfig, params: ParamStore) -> Tensor:
     """Full segmentation forward: logits with the input's spatial shape."""
     h, w = image.shape[2], image.shape[3]
-    padded = pad_to_multiple(image)
+    # to a multiple of the encoder's total stride, 4*2*2*2 = 32
+    padded = pad_to_multiple(image, math.prod(cfg.embed_config(i).stride for i in range(4)))
     features = encoder_forward(padded, cfg, params)
     logits = mlp_decoder(features, cfg, params)
     if (logits.shape[2], logits.shape[3]) != (h, w):

@@ -14,15 +14,16 @@ order, which keeps gradient accumulation deterministic.
 Feature maps have one memory order.  ``conv2d``, ``conv_transpose2d`` and
 ``bilinear_resize`` take a B,C,H,W input in any memory order, and their output
 and input gradient are channel-last views: channels innermost in memory, as
-``tokens_to_map`` gives them, so a map becomes tokens without a copy.
-``conv2d`` reads its kind from the weight's shape: a stride-1 depthwise conv
-for a C,1,Kh,Kw weight on C > 1 channels, a dense conv for any other.  Both
-conv ops require a bias, and nothing in them scatters.  ``layer_norm`` reads
-its input as (rows, C), and its means are GEMVs.  So is every VJP sum over the
+``tokens_to_map`` gives them, so a map becomes tokens without a copy;
+``global_avg_pool``'s input gradient is one too.  ``conv2d`` reads its kind
+from the weight's shape: a stride-1 depthwise conv for a C,1,k,k weight on
+C > 1 channels, a dense conv for any other.  Both conv ops require a bias and
+a square kernel, and nothing in them scatters.  ``layer_norm`` reads its
+input as (rows, C), and its means are GEMVs.  So is every VJP sum over the
 rows of a channel-last map or a token array (bias, gamma/beta and gate
-gradients), with a cached ones vector.  ``softmax`` flushes probabilities
-below ``np.finfo(dtype).tiny`` to zero, so no later GEMM reads a subnormal
-float, which runs many times slower.
+gradients), with a cached ones vector.  ``softmax`` normalizes the last axis
+and flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so no later
+GEMM reads a subnormal float, which runs many times slower.
 
 Layout conventions: image-like data is B x C x H x W, token sequences are
 B x N x C.
@@ -89,21 +90,15 @@ def nan_check():
         _nan_check = prev
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float32)
-    return np.ascontiguousarray(arr)
-
-
 class Tensor:
     _ids = itertools.count()
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         """A leaf: ``data`` is converted to a float array and made C-contiguous."""
-        self._init(_as_array(data, dtype), bool(requires_grad), (), None)
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float32)
+        self._init(np.ascontiguousarray(arr), bool(requires_grad), (), None)
 
     def _init(self, data: np.ndarray, requires_grad: bool, parents: tuple,
               vjp: Optional[Callable]):
@@ -361,19 +356,17 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction)."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for {a.shape}")
-    out = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis (max-subtraction)."""
+    out = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     # a subnormal probability would slow every later GEMM that reads it
     out[out < np.finfo(out.dtype).tiny] = 0
 
     def vjp(g):
         gs = g * out
-        gs -= out * gs.sum(axis=axis, keepdims=True)
+        gs -= out * gs.sum(axis=-1, keepdims=True)
         return (gs,)
 
     return _node(out, (a,), vjp)
@@ -689,44 +682,44 @@ def _depthwise_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int, dil: int) -
     return acc
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, dil: int,
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
             ho: int, wo: int) -> np.ndarray:
-    """Channel-last windows (B,Ho,Wo,kh,kw,C) of a B,C,H,W input padded by
+    """Channel-last windows (B,Ho,Wo,k,k,C) of a B,C,H,W input padded by
     ``pad`` at the top-left, and at the bottom-right to what the windows read.
     Unpadded 1x1 windows are the input's pixels, a free view of a channel-last
     input; any other kernel copies every window at once from a strided view of
-    the padded map (a window row of kw*C floats is one run when ``dil`` is 1)."""
+    the padded map (a window row of k*C floats is one run when ``dil`` is 1)."""
     b, c, h, w = x.shape
-    hp, wp = (ho - 1) * stride + (kh - 1) * dil + 1, (wo - 1) * stride + (kw - 1) * dil + 1
-    if kh == kw == 1 and pad == 0 and hp <= h and wp <= w:
+    hp, wp = ((n - 1) * stride + (k - 1) * dil + 1 for n in (ho, wo))
+    if k == 1 and pad == 0 and hp <= h and wp <= w:
         return x.transpose(0, 2, 3, 1)[:, :hp:stride, :wp:stride].reshape(b, ho, wo, 1, 1, c)
     xp = _padded(x, pad, hp, wp)
     s0, s1, s2, s3 = xp.strides
     # np.ndarray checks that the windows lie inside ``xp``'s buffer
-    return np.ndarray((b, ho, wo, kh, kw, c), x.dtype, xp, 0,
+    return np.ndarray((b, ho, wo, k, k, c), x.dtype, xp, 0,
                       (s0, s1 * stride, s2 * stride, s1 * dil, s2 * dil, s3)).copy()
 
 
-def _phase_gemm(g: np.ndarray, w: np.ndarray, stride: tuple, pad: int, dil: int,
+def _phase_gemm(g: np.ndarray, w: np.ndarray, s: int, pad: int, dil: int,
                 h: int, wdt: int) -> np.ndarray:
-    """Transposed conv, the adjoint of ``conv2d(., w, stride, pad, dil)``, on g
-    (B,Cout,Ho,Wo) as a channel-last B,Cin,h,wdt view; w is square, or its
-    stride (sh, sw) is its extent and pad 0.  Tap i lands on phase (i*dil - pad)
-    mod s at upstream offset floor((i*dil - pad)/s): one GEMM of ``_im2col``
-    windows with a matrix holding each tap once, then a depth-to-space copy."""
-    bsz, (cout, cin, kh, kw), (sh, sw) = g.shape[0], w.shape, stride
-    step = dil // sh if dil % sh == 0 else 1
-    nq_h, nq_w = (((k - 1) * dil - pad) // s - -pad // s + 1 for k, s in ((kh, sh), (kw, sw)))
+    """Transposed conv, the adjoint of ``conv2d(., w, s, pad, dil)`` with a
+    square w, on g (B,Cout,Ho,Wo) as a channel-last B,Cin,h,wdt view.  Tap i
+    lands on phase (i*dil - pad) mod s at upstream offset floor((i*dil -
+    pad)/s): one GEMM of ``_im2col`` windows with a matrix holding each tap
+    once, then a depth-to-space copy."""
+    bsz, (cout, cin, k, _) = g.shape[0], w.shape
+    step = dil // s if dil % s == 0 else 1
+    nq = ((k - 1) * dil - pad) // s - -pad // s + 1
     # the taps at their offsets, read by (offset, phase) from the last offset back
-    spread = np.zeros((nq_h * sh, nq_w * sw, cout, cin), w.dtype)
-    spread[-pad % sh::dil, -pad % sw::dil][:kh, :kw] = w.transpose(2, 3, 0, 1)
-    w_m = spread.reshape(nq_h, sh, nq_w, sw, cout, cin)[::-step, :, ::-step]
-    nh, nw, mh, mw = w_m.shape[0], w_m.shape[2], -(-h // sh), -(-wdt // sw)
-    cols = _im2col(g, nh, nw, 1, ((kh - 1) * dil - pad) // sh, step, mh, mw)
-    w_m = w_m.transpose(0, 2, 4, 1, 3, 5).reshape(-1, sh * sw * cin)
+    spread = np.zeros((nq * s, nq * s, cout, cin), w.dtype)
+    spread[-pad % s::dil, -pad % s::dil][:k, :k] = w.transpose(2, 3, 0, 1)
+    w_m = spread.reshape(nq, s, nq, s, cout, cin)[::-step, :, ::-step]
+    mh, mw = -(-h // s), -(-wdt // s)
+    cols = _im2col(g, w_m.shape[0], 1, ((k - 1) * dil - pad) // s, step, mh, mw)
+    w_m = w_m.transpose(0, 2, 4, 1, 3, 5).reshape(-1, s * s * cin)
     out = cols.reshape(bsz * mh * mw, -1) @ w_m
-    out = out.reshape(bsz, mh, mw, sh, sw, cin).transpose(0, 1, 3, 2, 4, 5)
-    return out.reshape(bsz, mh * sh, mw * sw, cin)[:, :h, :wdt].transpose(0, 3, 1, 2)
+    out = out.reshape(bsz, mh, mw, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
+    return out.reshape(bsz, mh * s, mw * s, cin)[:, :h, :wdt].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
@@ -748,19 +741,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     by its ``__qualname__`` charges both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if kh != kw:
-        raise ConfigError(f"conv2d takes square kernels only, got {kh}x{kw}")
+    cout, cin_w, k, kw = w.shape
+    if k != kw:
+        raise ConfigError(f"conv2d takes square kernels only, got {k}x{kw}")
     depthwise = cin_w == 1 and cout == cin > 1
     if depthwise and stride != 1:
         raise ConfigError(f"depthwise conv2d runs at stride 1 only, got stride {stride}")
     if not depthwise and cin_w != cin:
         raise ShapeError(f"kernel {w.shape} expects {cin_w} in-channels, input has {cin}")
-    ho = _conv_out_extent(h, kh, stride, padding, dilation)
-    wo = _conv_out_extent(wdt, kw, stride, padding, dilation)
+    ho = _conv_out_extent(h, k, stride, padding, dilation)
+    wo = _conv_out_extent(wdt, k, stride, padding, dilation)
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv2d output extent {ho}x{wo} is empty for input {h}x{wdt}")
-    pg = dilation * (kh - 1) - padding  # the upstream gradient's pad at stride 1
+    pg = dilation * (k - 1) - padding  # the upstream gradient's pad at stride 1
 
     if depthwise:
         xp = _padded(x.data, padding)
@@ -774,8 +767,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
                 gx = _depthwise_taps(_padded(g, pg), w.data[:, :, ::-1, ::-1], h, wdt,
                                      dilation).transpose(0, 3, 1, 2)
             grows = g.transpose(0, 2, 3, 1).reshape(bsz, ho, wo * cout)
-            gw = np.empty((cout, kh * kw), dtype=w.data.dtype)
-            for t, (i, j) in enumerate(itertools.product(range(kh), range(kw))):
+            gw = np.empty((cout, k * k), dtype=w.data.dtype)
+            for t, (i, j) in enumerate(itertools.product(range(k), range(k))):
                 xrows = _tap(xp, i, j, ho, wo, dilation).reshape(bsz, ho, wo * cin)
                 gw[:, t] = np.einsum("bhk,bhk->k", grows, xrows).reshape(wo, cin).sum(axis=0)
             gb = _ones(bsz * ho * wo, g.dtype) @ grows.reshape(-1, cout)
@@ -784,15 +777,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         return _node(out, (x, w, b), vjp_depthwise)
 
     rows = bsz * ho * wo
-    cols = _im2col(x.data, kh, kw, stride, padding, dilation, ho, wo).reshape(rows, -1)
-    out_m = cols @ w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).T
+    cols = _im2col(x.data, k, stride, padding, dilation, ho, wo).reshape(rows, -1)
+    out_m = cols @ w.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin).T
     out_m += b.data
     out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def vjp(g):
         g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
-        gw = (g_rows.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
-        gx = (_phase_gemm(g, w.data, (stride, stride), padding, dilation, h, wdt)
+        gw = (g_rows.T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
+        gx = (_phase_gemm(g, w.data, stride, padding, dilation, h, wdt)
               if x.requires_grad else None)
         return gx, gw, _ones(rows, g.dtype) @ g_rows
 
@@ -801,37 +794,42 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Transposed 2D convolution with stride = kernel and no padding, plus a
-    per-channel bias.  x: B,Cin,H,W; w: Cin,Cout,Kh,Kw; b: Cout; output
-    B,Cout,H*Kh,W*Kw: ``_phase_gemm``'s one-slot case, one GEMM and a
-    depth-to-space copy that keeps channels innermost (sub-pixel convolution,
-    Shi et al. 2016, arXiv:1609.05158).  The output and the input gradient
-    are channel-last views."""
+    per-channel bias.  x: B,Cin,H,W; w: Cin,Cout,k,k, square as ``conv2d``'s
+    (ConfigError otherwise); b: Cout; output B,Cout,H*k,W*k: ``_phase_gemm``'s
+    one-slot case, one GEMM and a depth-to-space copy that keeps channels
+    innermost (sub-pixel convolution, Shi et al. 2016, arXiv:1609.05158).
+    The output and the input gradient are channel-last views."""
     bsz, cin, h, wdt = x.shape
-    cin_w, cout, kh, kw = w.shape
+    cin_w, cout, k, kw = w.shape
+    if k != kw:
+        raise ConfigError(f"conv_transpose2d takes square kernels only, got {k}x{kw}")
     if cin_w != cin:
         raise ShapeError(f"conv_transpose2d expects {cin_w} in-channels, got {cin}")
-    out = _phase_gemm(x.data, w.data, (kh, kw), 0, 1, h * kh, wdt * kw)
+    out = _phase_gemm(x.data, w.data, k, 0, 1, h * k, wdt * k)
     out += b.data[:, None, None]
 
     def vjp(g):
         rows = bsz * h * wdt
         x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
-        w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, kh * kw * cout)
-        g_m = g.transpose(0, 2, 3, 1).reshape(bsz, h, kh, wdt, kw, cout) \
-            .transpose(0, 1, 3, 2, 4, 5).reshape(rows, kh * kw * cout)
+        w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, k * k * cout)
+        g_m = g.transpose(0, 2, 3, 1).reshape(bsz, h, k, wdt, k, cout) \
+            .transpose(0, 1, 3, 2, 4, 5).reshape(rows, k * k * cout)
         gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
-        gw = (x_m.T @ g_m).reshape(cin, kh, kw, cout).transpose(0, 3, 1, 2)
-        return gx, gw, _ones(rows * kh * kw, g.dtype) @ g_m.reshape(-1, cout)
+        gw = (x_m.T @ g_m).reshape(cin, k, k, cout).transpose(0, 3, 1, 2)
+        return gx, gw, _ones(rows * k * k, g.dtype) @ g_m.reshape(-1, cout)
 
     return _node(out, (x, w, b), vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Spatial mean per channel: B,C,H,W -> B,C,1,1, as one tape node."""
-    scale = x.data.dtype.type(1.0 / (x.shape[2] * x.shape[3]))
+    """Spatial mean per channel: B,C,H,W -> B,C,1,1, as one tape node; the
+    input gradient is a channel-last view."""
+    b, c, h, w = x.shape
+    scale = x.data.dtype.type(1.0 / (h * w))
     out = x.data.sum(axis=(2, 3), keepdims=True)
     out *= scale
-    return _node(out, (x,), lambda g: (np.broadcast_to(g * scale, x.shape).copy(),))
+    return _node(out, (x,), lambda g: (np.broadcast_to(
+        (g * scale).reshape(b, 1, 1, c), (b, h, w, c)).copy().transpose(0, 3, 1, 2),))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import ALPHA_MIN
 from .data import DataError
-from .model import ModelConfig, model_forward, save_checkpoint
+from .model import ModelConfig, init_params, model_forward, save_checkpoint
 from .params import ParamStore
 from .tensor import BLOCK, ConfigError, ShapeError, Tensor, no_grad, sigmoid_array
 from .tensor import _node  # loss primitive shares the tape machinery
@@ -216,22 +216,20 @@ def _stack_batch(dataset, idx) -> tuple:
     return Tensor(images), Tensor(masks)
 
 
-def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
-          params: Optional[ParamStore] = None):
-    """Run the training loop; returns (params, history).
+def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence):
+    """Train from ``init_params(model_cfg, train_cfg.seed)``; returns (params, history).
 
     History is a list of dicts: {"step", "lr", "loss", "grad_norm",
     "param_norm"} per step, the norms taken over every parameter's gradient
     and, after the update, over every parameter; and {"step", "acc", "dice",
     "loss"} per evaluation, each a mean over the whole dataset.  Fully
-    deterministic given seeds.
+    deterministic given seeds.  The last parameters go to the checkpoint
+    path, if any, and the best-dice evaluation's, the final one included, to
+    ``<path>.best`` when one ran before the last step; else it is removed.
     """
-    from .model import init_params  # local import avoids a cycle at module load
-
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    if params is None:
-        params = init_params(model_cfg, seed=train_cfg.seed)
+    params = init_params(model_cfg, seed=train_cfg.seed)
     opt = OptimizerState(weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed)
 
@@ -273,7 +271,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
             if train_cfg.eval_interval and step % train_cfg.eval_interval == 0:
                 m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)
                 history.append({"step": step, "acc": m.accuracy, "dice": m.dice, "loss": m.loss})
-                if m.dice > best_dice and train_cfg.checkpoint_path:
+                if m.dice > best_dice and step < total_steps and train_cfg.checkpoint_path:
                     best_dice = m.dice
                     save_checkpoint(params, model_cfg, train_cfg.checkpoint_path + ".best")
             if step >= total_steps:
@@ -284,8 +282,11 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence,
     history.append({"step": step, "acc": m.accuracy, "dice": m.dice, "loss": m.loss})
     if train_cfg.checkpoint_path:
         save_checkpoint(params, model_cfg, train_cfg.checkpoint_path)
-        if m.dice > best_dice:
-            save_checkpoint(params, model_cfg, train_cfg.checkpoint_path + ".best")
+        best = train_cfg.checkpoint_path + ".best"
+        if m.dice > best_dice >= 0:
+            save_checkpoint(params, model_cfg, best)
+        elif best_dice < 0 and os.path.lexists(best):  # it would repeat the last checkpoint
+            os.remove(best)
     write_history()
     return params, history
 
@@ -312,9 +313,3 @@ def evaluate(model_cfg: ModelConfig, params: ParamStore, dataset: Sequence,
     return Metrics(accuracy=float(np.mean(accs)), dice=float(np.mean(dices)),
                    loss=float(sum(losses) / n), count=n)
 
-
-def evaluate_checkpoint(path: str, dataset: Sequence, batch_size: int = 8) -> Metrics:
-    from .model import load_checkpoint
-
-    params, cfg = load_checkpoint(path)
-    return evaluate(cfg, params, dataset, batch_size=batch_size)

@@ -15,7 +15,7 @@ import pytest
 from mdtaf.attention import ALPHA_MIN
 from mdtaf.data import SegSample
 from mdtaf.gradcheck import grad_check
-from mdtaf.model import desk_config, init_params, model_forward, tiny_config
+from mdtaf.model import desk_config, init_params, load_checkpoint, model_forward, tiny_config
 from mdtaf.params import ParamStore
 from mdtaf.tensor import ConfigError, ShapeError, Tensor
 from mdtaf.train import (Metrics, OptimizerState, TrainConfig, TrainingDiverged,
@@ -297,6 +297,24 @@ def test_train_runs_and_reports_history(tmp_path):
         recs = [json.loads(l) for l in f]
     assert recs == history
     assert (tmp_path / "m.ckpt").exists()
+
+
+def test_best_checkpoint_comes_only_from_an_evaluation_before_the_last_step(tmp_path):
+    # with no evaluation before the last step, .best would repeat the last
+    # checkpoint: none is written, and one an earlier run left is removed
+    ds, cfg = _toy_dataset(), tiny_config()
+    ckpt, best = tmp_path / "m.ckpt", tmp_path / "m.ckpt.best"
+    best.write_bytes(b"from an earlier run")
+    train(cfg, TrainConfig(batch_size=2, max_steps=2, checkpoint_path=str(ckpt)), ds)
+    assert ckpt.exists() and not best.exists()
+    # the best of every evaluation, the final one included
+    tcfg = TrainConfig(batch_size=2, max_steps=4, lr_max=1e-3, eval_interval=1,
+                       checkpoint_path=str(ckpt))
+    _, history = train(cfg, tcfg, ds)
+    dices = [h["dice"] for h in history if "dice" in h]
+    params, best_cfg = load_checkpoint(str(best))
+    assert best_cfg == cfg
+    assert evaluate(cfg, params, ds, batch_size=2).dice == max(dices) > dices[-1]
 
 
 def test_train_is_seed_deterministic():
