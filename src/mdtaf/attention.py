@@ -120,10 +120,14 @@ def _merge_heads(x: Tensor) -> Tensor:
 # efficient self-attention
 
 def init_esa(store: ParamStore, init: Initializer, prefix: str, cfg: AttentionConfig):
+    # The key path has no bias: it would add one constant to every score of a
+    # query, which the softmax removes (Namazifar et al., "Role of Bias Terms
+    # in Dot-Product Attention", ICASSP 2023).  A query bias b moves score j by
+    # b.k_j and a value bias shifts the output, so those stay.
     c, r = cfg.channels, cfg.reduction
     for name in ("wq", "wk", "wv", "proj"):
-        init_linear(store, init, f"{prefix}.{name}", c, c)
-    init_linear(store, init, f"{prefix}.kr", c * r, c)
+        init_linear(store, init, f"{prefix}.{name}", c, c, bias=name != "wk")
+    init_linear(store, init, f"{prefix}.kr", c * r, c, bias=False)
     init_linear(store, init, f"{prefix}.vr", c * r, c)
 
 

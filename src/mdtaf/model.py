@@ -3,7 +3,8 @@
 Stages downsample by [4, 2, 2, 2] (feature strides 4/8/16/32).  Each stage is
 a filtered patch embedding followed by a stack of multi-dimension transformer
 blocks.  The decoder projects every stage to a shared width, resizes to
-stride-4 resolution, fuses, and predicts per-pixel logits at input size.
+stride-4 resolution, fuses, and predicts one foreground logit per pixel at
+input size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .params import Initializer, ParamStore
 from .tensor import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"MDTAF"
-CHECKPOINT_VERSION = b"001"
+CHECKPOINT_VERSION = b"002"
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class ModelConfig:
     r2: int = 8
     mlp_ratio: int = 4
     decoder_dim: int = 256
-    num_classes: int = 1
     filtering: bool = True
     msa: bool = True
 
@@ -134,7 +134,7 @@ def _init_into(store, init, cfg: ModelConfig):
     for i in range(4):
         init_linear(store, init, f"decoder.proj{i + 1}", cfg.stage_channels[i], cfg.decoder_dim)
     init_linear(store, init, "decoder.fuse", 4 * cfg.decoder_dim, cfg.decoder_dim)
-    init_linear(store, init, "decoder.head", cfg.decoder_dim, cfg.num_classes)
+    init_linear(store, init, "decoder.head", cfg.decoder_dim, 1)
 
 
 class _ShapeRecorder:
@@ -266,7 +266,7 @@ class CheckpointShapeError(CheckpointError):
 
 
 def save_checkpoint(params: ParamStore, cfg: ModelConfig, path: str):
-    """Binary format: magic "MDTAF001", u64-length-prefixed JSON config,
+    """Binary format: magic "MDTAF002", u64-length-prefixed JSON config,
     u64 tensor count, then per tensor: u64-prefixed name, u64 rank, u64
     extents, raw little-endian f32 data."""
     blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")

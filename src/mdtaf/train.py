@@ -244,10 +244,10 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence):
             with open(train_cfg.history_path, "w") as f:
                 f.writelines(json.dumps(rec) + "\n" for rec in history)
 
-    best_dice = -1.0
+    best = train_cfg.checkpoint_path and train_cfg.checkpoint_path + ".best"
+    best_dice = -1.0  # below 0 until an evaluation runs before the last step
     step = 0
-    done = False
-    while not done:
+    while step < total_steps:
         for idx in _batches(len(dataset), train_cfg.batch_size, rng):
             lr = cosine_lr(step, denom, train_cfg.lr_max, train_cfg.lr_min)
             images, masks = _stack_batch(dataset, idx)
@@ -268,25 +268,20 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: Sequence):
                     raise TrainingDiverged(f"non-finite {name} at step {step}")
             history.append({"step": step, "lr": lr, "loss": loss_val, **norms})
             step += 1
-            if train_cfg.eval_interval and step % train_cfg.eval_interval == 0:
+            last = step == total_steps
+            if last or train_cfg.eval_interval and step % train_cfg.eval_interval == 0:
                 m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)
                 history.append({"step": step, "acc": m.accuracy, "dice": m.dice, "loss": m.loss})
-                if m.dice > best_dice and step < total_steps and train_cfg.checkpoint_path:
+                if best and m.dice > best_dice and (not last or best_dice >= 0):
                     best_dice = m.dice
-                    save_checkpoint(params, model_cfg, train_cfg.checkpoint_path + ".best")
-            if step >= total_steps:
-                done = True
+                    save_checkpoint(params, model_cfg, best)
+                elif best and last and best_dice < 0 and os.path.lexists(best):
+                    os.remove(best)  # it would repeat the last checkpoint
+            if last:
                 break
 
-    m = evaluate(model_cfg, params, dataset, batch_size=train_cfg.batch_size)
-    history.append({"step": step, "acc": m.accuracy, "dice": m.dice, "loss": m.loss})
     if train_cfg.checkpoint_path:
         save_checkpoint(params, model_cfg, train_cfg.checkpoint_path)
-        best = train_cfg.checkpoint_path + ".best"
-        if m.dice > best_dice >= 0:
-            save_checkpoint(params, model_cfg, best)
-        elif best_dice < 0 and os.path.lexists(best):  # it would repeat the last checkpoint
-            os.remove(best)
     write_history()
     return params, history
 

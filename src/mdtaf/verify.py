@@ -189,7 +189,6 @@ def check_window_roundtrip():
 
 def _identity_reduce(store, prefix, c):
     store[f"{prefix}.kr.weight"].data[:] = np.eye(c, dtype=np.float32)
-    store[f"{prefix}.kr.bias"].data[:] = 0
     store[f"{prefix}.vr.weight"].data[:] = np.eye(c, dtype=np.float32)
     store[f"{prefix}.vr.bias"].data[:] = 0
 
@@ -204,12 +203,12 @@ def check_esa_oracle():
     x = Tensor(rng.normal(size=(1, n, c)).astype(np.float32))
     with no_grad():
         y = efficient_self_attention(x, cfg, store, "esa").data[0]
-    ref = dense_attention_oracle(
-        x.data[0].astype(np.float64),
-        *(store[f"esa.{nm}.{p}"].data.astype(np.float64)
-          for nm in ("wq", "wk", "wv") for p in ("weight", "bias")),
-        store["esa.proj.weight"].data.astype(np.float64),
-        store["esa.proj.bias"].data.astype(np.float64), heads)
+    w = {name: t.data.astype(np.float64) for name, t in store.items()}
+    ref = dense_attention_oracle(x.data[0].astype(np.float64),
+                                 w["esa.wq.weight"], w["esa.wq.bias"],
+                                 w["esa.wk.weight"], np.zeros(c),  # the key path has no bias
+                                 w["esa.wv.weight"], w["esa.wv.bias"],
+                                 w["esa.proj.weight"], w["esa.proj.bias"], heads)
     err = np.abs(y - ref).max() / max(1.0, np.abs(ref).max())
     return err < 1e-6, f"rel err {err:.2e}"
 

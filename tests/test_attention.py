@@ -139,17 +139,17 @@ def test_esa_r1_matches_dense_oracle():
     init_esa(store, Initializer(0), "esa", cfg)
     for nm in ("kr", "vr"):
         store[f"esa.{nm}.weight"].data[:] = np.eye(c)
-        store[f"esa.{nm}.bias"].data[:] = 0
+    store["esa.vr.bias"].data[:] = 0
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, n, c)).astype(np.float32)
     with no_grad():
         y = efficient_self_attention(Tensor(x), cfg, store, "esa").data[0]
-    ref = dense_attention_oracle(
-        x[0].astype(np.float64),
-        *(store[f"esa.{nm}.{p}"].data.astype(np.float64)
-          for nm in ("wq", "wk", "wv") for p in ("weight", "bias")),
-        store["esa.proj.weight"].data.astype(np.float64),
-        store["esa.proj.bias"].data.astype(np.float64), heads)
+    w = {name: t.data.astype(np.float64) for name, t in store.items()}
+    ref = dense_attention_oracle(x[0].astype(np.float64),
+                                 w["esa.wq.weight"], w["esa.wq.bias"],
+                                 w["esa.wk.weight"], np.zeros(c),  # the key path has no bias
+                                 w["esa.wv.weight"], w["esa.wv.bias"],
+                                 w["esa.proj.weight"], w["esa.proj.bias"], heads)
     assert np.abs(y - ref).max() / max(1.0, np.abs(ref).max()) < 1e-6
 
 

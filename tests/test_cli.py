@@ -1,7 +1,10 @@
 """End-to-end CLI tests through the in-process entry point."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shutil
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mdtaf
 from mdtaf.cli import run
 from mdtaf.data import read_pnm
 from test_model import _edit_checkpoint_config
@@ -83,6 +87,19 @@ def test_missing_checkpoint_exits_1(workspace, capsys):
     assert run(["eval", "--data", workspace["data"],
                 "--checkpoint", str(workspace["root"] / "absent.ckpt")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_a_checkpoint_of_an_older_version_exits_1(workspace, tmp_path, capsys, command):
+    ckpt = tmp_path / "old.ckpt"
+    blob = bytearray(Path(workspace["ckpt"]).read_bytes())
+    blob[5:8] = b"001"
+    ckpt.write_bytes(bytes(blob))
+    argv = {"eval": ["eval", "--data", workspace["data"]],
+            "infer": ["infer", "--image", os.path.join(workspace["data"], "sample_00000.pgm"),
+                      "--out", str(tmp_path / "pred.pgm")]}[command]
+    assert run(argv + ["--checkpoint", str(ckpt)]) == 1
+    assert "unsupported checkpoint version b'001'" in capsys.readouterr().err
 
 
 def test_checkpoint_of_another_shape_exits_1(workspace, tmp_path, capsys):
@@ -417,3 +434,45 @@ def test_batch_size_1_trains_on_mixed_sizes(mixed_sizes, tmp_path):
                 "--checkpoint", str(ckpt)]) == 0
     assert run(["eval", "--data", mixed_sizes, "--checkpoint", str(ckpt),
                 "--batch-size", "1"]) == 0
+
+
+def test_every_public_function_runs_outside_the_tests(tmp_path, capsys):
+    # every command at a small size, recording each code object entered; a
+    # public function none of them enters is reached only by the tests
+    modules = {m.name: importlib.import_module(f"mdtaf.{m.name}")
+               for m in pkgutil.iter_modules(mdtaf.__path__)}
+    # unwrapped: no_grad and nan_check would both be contextlib's helper
+    public = {inspect.unwrap(f).__code__: f"{short}.{name}"
+              for short, mod in modules.items() for name, f in vars(mod).items()
+              if inspect.isfunction(f) and f.__module__ == mod.__name__ and name[0] != "_"}
+    data, ckpt = str(tmp_path / "ds"), str(tmp_path / "m.ckpt")
+    commands = [
+        ["gen-data", "--out", data, "--count", "2", "--size", "32", "--seed", "0"],
+        ["train", "--data", data, "--steps", "2", "--batch-size", "2", "--eval-interval", "1",
+         "--checkpoint", ckpt, "--history", str(tmp_path / "h.jsonl"), "--seed", "0"],
+        ["eval", "--data", data, "--checkpoint", ckpt],
+        ["infer", "--checkpoint", ckpt, "--image", os.path.join(data, "sample_00000.pgm"),
+         "--out", str(tmp_path / "pred.pgm")],
+        *(["gradcheck", "--module", m, "--seed", "0"] for m in ("ops", "block", "model")),
+        ["verify"],
+        ["bench", "--kinds", "dense,esa,ssa,csa", "--sizes", "64", "--channels", "8",
+         "--reduction", "2", "--window", "4"],
+    ]
+    entered = set()
+
+    def trace(frame, event, arg):  # call events only: no line tracing
+        entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        codes = [run(argv) for argv in commands]
+    finally:
+        sys.settrace(previous)
+    assert codes == [0] * len(commands), capsys.readouterr().err
+    assert {public[c] for c in public.keys() - entered} == {
+        "cli.main",              # the console entry point around cli.run
+        "model.default_config",  # the paper preset: too large for a test; perfbench loads it
+        "tensor.nan_check",      # a debugging guard the package exports; no program path sets it
+        "tensor.texp",           # kept for perfbench's tracer test, which names its VJP
+    }

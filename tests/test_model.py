@@ -22,6 +22,8 @@ from mdtaf.gradcheck import grad_check
 from mdtaf.layers import linear, map_to_tokens, tokens_to_map
 from mdtaf.params import ParamStore
 from mdtaf.tensor import Tensor, no_grad
+from mdtaf.train import bce_loss
+from mdtaf.verify import _randomize
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,21 @@ def test_decoder_equals_concat_then_fuse():
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_every_parameter_can_change_the_loss():
+    # a parameter whose gradient is zero up to rounding cannot change a
+    # result; ESA's former key biases got 1e-20 of the largest
+    cfg = desk_config()
+    params = init_params(cfg, seed=0).astype(np.float64)
+    _randomize(params, np.random.default_rng(0), scale=0.1)
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(2, 1, 64, 64)))
+    y = Tensor((rng.uniform(size=(2, 1, 64, 64)) > 0.5).astype(np.float64))
+    bce_loss(model_forward(x, cfg, params), y).backward()
+    peak = {name: np.abs(t.grad).max() for name, t in params.items()}
+    top = max(peak.values())
+    assert [name for name, g in peak.items() if g < 1e-12 * top] == []
+
+
 def test_config_roundtrips_through_dict():
     cfg = desk_config(filtering=False, msa=False)
     again = ModelConfig.from_dict(cfg.to_dict())
@@ -199,14 +216,16 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):
+    # 001 held ESA key biases and a num_classes field
     cfg = tiny_config()
     path = str(tmp_path / "v.ckpt")
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
     blob = bytearray(Path(path).read_bytes())
-    blob[5:8] = b"999"
-    Path(path).write_bytes(bytes(blob))
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(path)
+    for version in (b"001", b"999"):
+        blob[5:8] = version
+        Path(path).write_bytes(bytes(blob))
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):

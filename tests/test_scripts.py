@@ -1,6 +1,6 @@
 """Smoke test of the scripts under ``scripts/``: each runs once at a small
-size, so a signature change in ``bench_attention``, ``train`` or
-``TrainConfig`` that breaks a script fails here."""
+size, so a signature change in ``train`` or ``TrainConfig`` that breaks a
+script fails here."""
 
 import os
 import subprocess
@@ -12,7 +12,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script,args,lines", [
-    ("esa_scaling.py", ["--tokens", "64", "--reductions", "1,2"], 3),
     ("ablation_table.py", ["--steps", "1", "--count", "2", "--size", "32"], 5),
     ("calibrate_learning_check.py", ["--steps", "1"], 2),
 ])

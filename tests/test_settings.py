@@ -6,7 +6,7 @@ import pathlib
 import mdtaf
 
 # A change that adds a setting raises this bound and books it in CHANGES.md.
-MOST_SETTABLE_VALUES = 82
+MOST_SETTABLE_VALUES = 81
 
 
 def _settable_values(source: str) -> int:

@@ -5,9 +5,7 @@ float64.  Convolutions additionally get a brute-force loop oracle so the
 im2col fast path is never its own referee.
 """
 
-import inspect
 import itertools
-import sys
 import tracemalloc
 
 import numpy as np
@@ -16,14 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdtaf import tensor as T
-from mdtaf import verify
 from mdtaf.attention import _merge_heads, _split_heads, window_merge, window_partition
-from mdtaf.data import SegSample
 from mdtaf.gradcheck import grad_check, relative_error
 from mdtaf.layers import map_to_tokens, tokens_to_map
 from mdtaf.model import desk_config, init_params, model_forward, tiny_config
 from mdtaf.tensor import (ConfigError, GraphError, ShapeError, Tensor, nan_check, no_grad)
-from mdtaf.train import TrainConfig, train
 
 TOL = 1e-4  # per-op threshold; observed errors are orders of magnitude lower
 
@@ -1319,38 +1314,3 @@ def test_relative_error_floor():
 def test_conv_rejects_empty_output():
     with pytest.raises((ConfigError, T.ShapeError)):
         T.conv2d(_t(1, 1, 2, 2), _t(1, 1, 5, 5), _t(1))
-
-
-# ---------------------------------------------------------------------------
-# the tape holds only what the program runs
-
-def test_every_public_tensor_function_runs_outside_the_tests(monkeypatch):
-    # wrap each public function of mdtaf.tensor wherever an mdtaf module holds
-    # it (``T.conv2d`` and ``from .tensor import no_grad`` alike), then run a
-    # tiny-preset train step, whose closing evaluation is a no_grad forward,
-    # and verify's ops gradcheck
-    public = {f: name for name, f in vars(T).items()
-              if inspect.isfunction(f) and f.__module__ == T.__name__ and name[0] != "_"}
-    called = set()
-
-    def wrap(f):
-        def counted(*args, **kwargs):
-            called.add(public[f])
-            return f(*args, **kwargs)
-        return counted
-
-    wrapped = {f: wrap(f) for f in public}
-    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "mdtaf"]:
-        for attr, value in list(vars(mod).items()):
-            if inspect.isfunction(value) and value in wrapped:
-                monkeypatch.setattr(mod, attr, wrapped[value])
-    rng = np.random.default_rng(0)
-    mask = (rng.random((1, 32, 32)) > 0.5).astype(np.float32)
-    dataset = [SegSample(id=f"s{i}", image=mask + rng.normal(0, 0.2, size=mask.shape)
-                         .astype(np.float32), mask=mask) for i in range(2)]
-    train(tiny_config(), TrainConfig(max_steps=1, batch_size=2, seed=0), dataset)
-    assert verify.check_gradients_ops()[0]
-    assert set(public.values()) - called == {
-        "texp",       # kept for perfbench's tracer test, which names its VJP
-        "nan_check",  # a debugging guard the package exports; no program path sets it
-    }

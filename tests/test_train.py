@@ -317,6 +317,12 @@ def test_best_checkpoint_comes_only_from_an_evaluation_before_the_last_step(tmp_
     assert evaluate(cfg, params, ds, batch_size=2).dice == max(dices) > dices[-1]
 
 
+def test_the_last_step_is_evaluated_once():
+    _, history = train(tiny_config(), TrainConfig(batch_size=2, max_steps=4, eval_interval=2),
+                       _toy_dataset())
+    assert [h["step"] for h in history if "dice" in h] == [2, 4]
+
+
 def test_train_is_seed_deterministic():
     ds = _toy_dataset()
     cfg = tiny_config()
