@@ -13,7 +13,10 @@ from .tensor import Tensor
 
 def init_conv(store: ParamStore, init: Initializer, name: str,
               cin: int, cout: int, k: int, groups: int = 1):
-    store.add(f"{name}.weight", init.trunc_normal((cout, cin // groups, k, k)))
+    """A (k, k, cin/groups, cout) weight, the order ``conv2d``'s GEMM reads,
+    drawn in (cout, cin/groups, k, k) order: the same values at new places."""
+    store.add(f"{name}.weight",
+              init.trunc_normal((cout, cin // groups, k, k)).transpose(2, 3, 1, 0))
     store.add(f"{name}.bias", init.zeros((cout,)))
 
 
@@ -25,7 +28,8 @@ def conv(params: ParamStore, name: str, x: Tensor, stride: int = 1,
 
 def init_deconv(store: ParamStore, init: Initializer, name: str,
                 cin: int, cout: int, k: int):
-    store.add(f"{name}.weight", init.trunc_normal((cin, cout, k, k)))
+    """A (cin, k, k, cout) weight, drawn in (cin, cout, k, k) order."""
+    store.add(f"{name}.weight", init.trunc_normal((cin, cout, k, k)).transpose(0, 2, 3, 1))
     store.add(f"{name}.bias", init.zeros((cout,)))
 
 

@@ -26,7 +26,7 @@ from .params import Initializer, ParamStore
 from .tensor import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"MDTAF"
-CHECKPOINT_VERSION = b"002"
+CHECKPOINT_VERSION = b"003"
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,17 @@ def _init_into(store, init, cfg: ModelConfig):
 
 class _ShapeRecorder:
     """Stands in for both the store and the initializer of :func:`_init_into`:
-    it records each parameter's name and shape and allocates nothing."""
+    it records each parameter's name and stored shape and allocates nothing
+    (a draw is a zero-stride view, which the layers may transpose)."""
 
     def __init__(self):
         self.shapes: dict = {}
 
-    def add(self, name: str, shape: tuple):
-        self.shapes[name] = shape
+    def add(self, name: str, data: np.ndarray):
+        self.shapes[name] = data.shape
 
-    def trunc_normal(self, shape: tuple) -> tuple:
-        return tuple(shape)
+    def trunc_normal(self, shape: tuple) -> np.ndarray:
+        return np.broadcast_to(np.float32(0), shape)
 
     zeros = ones = trunc_normal
 
@@ -266,7 +267,7 @@ class CheckpointShapeError(CheckpointError):
 
 
 def save_checkpoint(params: ParamStore, cfg: ModelConfig, path: str):
-    """Binary format: magic "MDTAF002", u64-length-prefixed JSON config,
+    """Binary format: magic "MDTAF003", u64-length-prefixed JSON config,
     u64 tensor count, then per tensor: u64-prefixed name, u64 rank, u64
     extents, raw little-endian f32 data."""
     blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")

@@ -15,15 +15,21 @@ Feature maps have one memory order.  ``conv2d``, ``conv_transpose2d`` and
 ``bilinear_resize`` take a B,C,H,W input in any memory order, and their output
 and input gradient are channel-last views: channels innermost in memory, as
 ``tokens_to_map`` gives them, so a map becomes tokens without a copy;
-``global_avg_pool``'s input gradient is one too.  ``conv2d`` reads its kind
-from the weight's shape: a stride-1 depthwise conv for a C,1,k,k weight on
-C > 1 channels, a dense conv for any other.  Both conv ops require a bias and
-a square kernel, and nothing in them scatters.  ``layer_norm`` reads its
-input as (rows, C), and its means are GEMVs.  So is every VJP sum over the
-rows of a channel-last map or a token array (bias, gamma/beta and gate
-gradients), with a cached ones vector.  ``softmax`` normalizes the last axis
-and flushes probabilities below ``np.finfo(dtype).tiny`` to zero, so no later
-GEMM reads a subnormal float, which runs many times slower.
+``global_avg_pool``'s input gradient is one too.  Conv weights are stored
+with output channels last, in the order their GEMMs read them, so no call
+copies one: ``conv2d`` takes (k,k,Cin/groups,Cout) and ``conv_transpose2d``
+(Cin,k,k,Cout).  ``conv2d`` reads its kind from the weight's shape: a
+stride-1 depthwise conv for a (k,k,1,C) weight on C > 1 channels, whose taps
+are one strided view of the padded map summed in ``BLOCK``-sized blocks, and
+a dense conv for any other, one GEMM whose input gradient is
+``_phase_gemm``.  ``conv_transpose2d`` is one GEMM and a depth-to-space copy.
+Both conv ops require a bias and a square kernel, and nothing in them
+scatters.  ``layer_norm`` reads its input as (rows, C), and its means are
+GEMVs.  So is every VJP sum over the rows of a channel-last map or a token
+array (bias, gamma/beta and gate gradients), with a cached ones vector.
+``softmax`` normalizes the last axis and flushes probabilities below
+``np.finfo(dtype).tiny`` to zero, so no later GEMM reads a subnormal float,
+which runs many times slower.
 
 Layout conventions: image-like data is B x C x H x W, token sequences are
 B x N x C.
@@ -57,8 +63,9 @@ _GELU_S = float(np.sqrt(2.0 / np.pi))
 
 ATTENTION_TILE = 1024  # query rows per tile of the attention core
 _LOG2E = float(np.log2(np.e))
-# Elements per block of a blocked elementwise chain (AdamW, GELU): a block's
-# operands (256 KB each in f32) stay in cache across the passes over it.
+# Elements per block of a blocked elementwise chain (AdamW, GELU, the
+# depthwise tap products): a block's operands (256 KB each in f32) stay in
+# cache across the passes over it.
 BLOCK = 65536
 LAYER_NORM_EPS = 1e-6
 
@@ -663,22 +670,36 @@ def _padded(x: np.ndarray, pad: int, hp: int = 0, wp: int = 0) -> np.ndarray:
     return xp
 
 
-def _tap(xp: np.ndarray, i: int, j: int, ho: int, wo: int, dil: int) -> np.ndarray:
-    """The (B,Ho,Wo,C) view of a padded channel-last map that stride-1 tap (i, j) reads."""
-    return xp[:, i * dil:i * dil + ho, j * dil:j * dil + wo]
+def _taps(xp: np.ndarray, k: int, ho: int, wo: int, dil: int) -> np.ndarray:
+    """Every stride-1 tap of a padded channel-last (B,Hp,Wp,C) map as one
+    (k,k,B,Ho,Wo*C) view: tap (i, j) of output row (b, r) is the run of Wo*C
+    floats at padded row r + i*dil, column j*dil."""
+    s0, s1, s2, s3 = xp.strides
+    # np.ndarray checks that the taps lie inside ``xp``'s buffer
+    return np.ndarray((k, k, xp.shape[0], ho, wo * xp.shape[3]), xp.dtype, xp, 0,
+                      (s1 * dil, s2 * dil, s0, s1, s3))
 
 
 def _depthwise_taps(xp: np.ndarray, w: np.ndarray, ho: int, wo: int, dil: int) -> np.ndarray:
     """Stride-1 depthwise correlation of a padded channel-last map with a
-    C,1,k,k kernel, into a contiguous (B,Ho,Wo,C) buffer: per tap in row-major
-    order, one multiply-add of the tap's weights, tiled along a row, over the
-    tap's rows of Wo*C floats."""
-    bsz, c, k = xp.shape[0], w.shape[0], w.shape[-1]
-    wt = np.tile(w.reshape(c, -1).T, (1, wo))
-    acc = np.zeros((bsz, ho, wo, c), xp.dtype)
+    (k,k,1,C) kernel, into a contiguous (B,Ho,Wo,C) buffer.  Per block of
+    output rows, one multiply of the ``_taps`` view by the tap weights, tiled
+    along a row, into a scratch of at most ``BLOCK`` elements (one row's taps
+    when they alone take more), then one sum over the two tap axes, in
+    row-major tap order from zero: the floats of a multiply-add per tap."""
+    bsz, c, k = xp.shape[0], w.shape[-1], w.shape[0]
+    taps = _taps(xp, k, ho, wo, dil)
+    wt = np.tile(w.reshape(k, k, 1, 1, c), wo)
+    acc = np.empty((bsz, ho, wo, c), xp.dtype)
     acc_rows = acc.reshape(bsz, ho, wo * c)
-    for t, (i, j) in enumerate(itertools.product(range(k), range(k))):
-        acc_rows += _tap(xp, i, j, ho, wo, dil).reshape(bsz, ho, wo * c) * wt[t]
+    rows = max(1, BLOCK // (k * k * wo * c))
+    nb, nr = max(1, rows // ho), min(rows, ho)  # whole maps, or rows of one map, per block
+    scratch = np.empty(k * k * nb * nr * wo * c, xp.dtype)
+    for b0 in range(0, bsz, nb):
+        for r0 in range(0, ho, nr):
+            blk = taps[:, :, b0:b0 + nb, r0:r0 + nr]
+            prod = np.multiply(blk, wt, out=scratch[:blk.size].reshape(blk.shape))
+            np.add.reduce(prod, axis=(0, 1), out=acc_rows[b0:b0 + nb, r0:r0 + nr])
     return acc
 
 
@@ -702,22 +723,31 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
 
 def _phase_gemm(g: np.ndarray, w: np.ndarray, s: int, pad: int, dil: int,
                 h: int, wdt: int) -> np.ndarray:
-    """Transposed conv, the adjoint of ``conv2d(., w, s, pad, dil)`` with a
-    square w, on g (B,Cout,Ho,Wo) as a channel-last B,Cin,h,wdt view.  Tap i
-    lands on phase (i*dil - pad) mod s at upstream offset floor((i*dil -
-    pad)/s): one GEMM of ``_im2col`` windows with a matrix holding each tap
-    once, then a depth-to-space copy."""
-    bsz, (cout, cin, k, _) = g.shape[0], w.shape
+    """``conv2d``'s input gradient: the adjoint of ``conv2d(., w, s, pad,
+    dil)`` with a (k,k,Cin,Cout) w, on g (B,Cout,Ho,Wo) as a channel-last
+    B,Cin,h,wdt view.  Tap i lands on phase (i*dil - pad) mod s at upstream
+    offset floor((i*dil - pad)/s): one GEMM of ``_im2col`` windows with a
+    matrix holding each tap once, then a depth-to-space copy.  The taps of
+    one phase are evenly spaced in the kernel and in the windows, so the
+    matrix takes one strided write per non-empty phase of the two axes."""
+    bsz, (k, _, cin, cout) = g.shape[0], w.shape
     step = dil // s if dil % s == 0 else 1
-    nq = ((k - 1) * dil - pad) // s - -pad // s + 1
-    # the taps at their offsets, read by (offset, phase) from the last offset back
-    spread = np.zeros((nq * s, nq * s, cout, cin), w.dtype)
-    spread[-pad % s::dil, -pad % s::dil][:k, :k] = w.transpose(2, 3, 0, 1)
-    w_m = spread.reshape(nq, s, nq, s, cout, cin)[::-step, :, ::-step]
+    q0 = -pad // s
+    nm = (((k - 1) * dil - pad) // s - q0) // step + 1  # window extent
+    period = s // math.gcd(s, dil)  # taps between two of one phase
+    du = period * dil // s // step  # windows between the same two
+    spans = []  # per phase: its taps and the upstream offsets, in windows, they land on
+    for i in range(min(period, k)):
+        q, ph = divmod(i * dil - pad, s)
+        u = (q - q0) // step
+        spans.append((ph, slice(i, k, period), slice(u, u + (k - 1 - i) // period * du + 1, du)))
+    w_m = np.zeros((nm, nm, cout, s, s, cin), w.dtype)
+    rev = w_m[::-1, ::-1]  # w_m's windows run from the last upstream offset back
+    for (pi, ti, ui), (pj, tj, uj) in itertools.product(spans, repeat=2):
+        rev[ui, uj, :, pi, pj] = w[ti, tj].transpose(0, 1, 3, 2)
     mh, mw = -(-h // s), -(-wdt // s)
-    cols = _im2col(g, w_m.shape[0], 1, ((k - 1) * dil - pad) // s, step, mh, mw)
-    w_m = w_m.transpose(0, 2, 4, 1, 3, 5).reshape(-1, s * s * cin)
-    out = cols.reshape(bsz * mh * mw, -1) @ w_m
+    cols = _im2col(g, nm, 1, ((k - 1) * dil - pad) // s, step, mh, mw)
+    out = cols.reshape(bsz * mh * mw, -1) @ w_m.reshape(-1, s * s * cin)
     out = out.reshape(bsz, mh, mw, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
     return out.reshape(bsz, mh * s, mw * s, cin)[:, :h, :wdt].transpose(0, 3, 1, 2)
 
@@ -726,22 +756,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1) -> Tensor:
     """2D cross-correlation plus a per-channel bias.  x: B,Cin,H,W; b: Cout.
 
-    The weight's shape names the kind, and its kernel is square (ConfigError
-    otherwise).  A C,1,k,k weight on C > 1 channels is a depthwise conv,
-    stride 1 only (ConfigError otherwise): per tap, one multiply-add of the
-    tap's weights, tiled along a row, over the tap's rows of Wo*C floats in
-    the padded channel-last map.  Any other weight is dense, Cout,Cin,k,k
-    with the input's Cin (ShapeError otherwise): one GEMM over im2col
-    windows, whose input gradient at any stride is one gather by phase,
+    The weight is stored (k,k,Cin/groups,Cout), output channels last, so it
+    is the matrix its GEMM reads and no call copies it.  Its shape names the
+    kind, and its kernel is square (ConfigError otherwise).  A (k,k,1,C)
+    weight on C > 1 channels is a depthwise conv, stride 1 only (ConfigError
+    otherwise): ``_depthwise_taps``, one multiply and one tap sum per
+    ``BLOCK``-sized block of the padded map's ``_taps`` view.  Any other
+    weight is dense, (k,k,Cin,Cout) with the input's Cin (ShapeError
+    otherwise): one GEMM of im2col windows with the weight as a (k*k*Cin,
+    Cout) view, whose input gradient at any stride is one gather by phase,
     ``_phase_gemm`` (Dumoulin & Visin, arXiv:1603.07285).  A depthwise conv's
-    is its tap loop over the upstream gradient padded by dilation*(k-1) -
-    padding, with the flipped kernel.  An input that needs no gradient gets
-    none.  The output and the input gradient are channel-last views.
-    Both VJPs are closures of this function, so a profiler that names a VJP
-    by its ``__qualname__`` charges both to ``conv2d``.
+    is the same tap kernel over the upstream gradient padded by
+    dilation*(k-1) - padding, with the flipped kernel ``w[::-1, ::-1]``.  An
+    input that needs no gradient gets none.  The output and the input
+    gradient are channel-last views.  Both VJPs are closures of this
+    function, so a profiler that names a VJP by its ``__qualname__`` charges
+    both to ``conv2d``.
     """
     bsz, cin, h, wdt = x.shape
-    cout, cin_w, k, kw = w.shape
+    k, kw, cin_w, cout = w.shape
     if k != kw:
         raise ConfigError(f"conv2d takes square kernels only, got {k}x{kw}")
     depthwise = cin_w == 1 and cout == cin > 1
@@ -764,13 +797,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
         def vjp_depthwise(g):
             gx = None
             if x.requires_grad:
-                gx = _depthwise_taps(_padded(g, pg), w.data[:, :, ::-1, ::-1], h, wdt,
+                gx = _depthwise_taps(_padded(g, pg), w.data[::-1, ::-1], h, wdt,
                                      dilation).transpose(0, 3, 1, 2)
             grows = g.transpose(0, 2, 3, 1).reshape(bsz, ho, wo * cout)
-            gw = np.empty((cout, k * k), dtype=w.data.dtype)
-            for t, (i, j) in enumerate(itertools.product(range(k), range(k))):
-                xrows = _tap(xp, i, j, ho, wo, dilation).reshape(bsz, ho, wo * cin)
-                gw[:, t] = np.einsum("bhk,bhk->k", grows, xrows).reshape(wo, cin).sum(axis=0)
+            taps = _taps(xp, k, ho, wo, dilation)
+            gw = np.empty((k, k, cout), dtype=w.data.dtype)
+            for i, j in itertools.product(range(k), range(k)):
+                gw[i, j] = np.einsum("bhk,bhk->k", grows, taps[i, j]).reshape(wo, cin).sum(axis=0)
             gb = _ones(bsz * ho * wo, g.dtype) @ grows.reshape(-1, cout)
             return gx, gw.reshape(w.shape), gb
 
@@ -778,47 +811,49 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
 
     rows = bsz * ho * wo
     cols = _im2col(x.data, k, stride, padding, dilation, ho, wo).reshape(rows, -1)
-    out_m = cols @ w.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin).T
+    out_m = cols @ w.data.reshape(-1, cout)
     out_m += b.data
     out = out_m.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def vjp(g):
         g_rows = g.transpose(0, 2, 3, 1).reshape(rows, cout)
-        gw = (g_rows.T @ cols).reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
         gx = (_phase_gemm(g, w.data, stride, padding, dilation, h, wdt)
               if x.requires_grad else None)
-        return gx, gw, _ones(rows, g.dtype) @ g_rows
+        return gx, (cols.T @ g_rows).reshape(w.shape), _ones(rows, g.dtype) @ g_rows
 
     return _node(out, (x, w, b), vjp)
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Transposed 2D convolution with stride = kernel and no padding, plus a
-    per-channel bias.  x: B,Cin,H,W; w: Cin,Cout,k,k, square as ``conv2d``'s
-    (ConfigError otherwise); b: Cout; output B,Cout,H*k,W*k: ``_phase_gemm``'s
-    one-slot case, one GEMM and a depth-to-space copy that keeps channels
-    innermost (sub-pixel convolution, Shi et al. 2016, arXiv:1609.05158).
-    The output and the input gradient are channel-last views."""
+    per-channel bias.  x: B,Cin,H,W; w: (Cin,k,k,Cout), square as
+    ``conv2d``'s (ConfigError otherwise), so its (Cin, k*k*Cout) matrix is a
+    view; b: Cout; output B,Cout,H*k,W*k.  One GEMM of the channel-last
+    pixels with that matrix, then one depth-to-space copy into a
+    (B,H,k,W,k,Cout) buffer that keeps channels innermost (sub-pixel
+    convolution, Shi et al. 2016, arXiv:1609.05158), then the bias.  The
+    output and the input gradient are channel-last views."""
     bsz, cin, h, wdt = x.shape
-    cin_w, cout, k, kw = w.shape
+    cin_w, k, kw, cout = w.shape
     if k != kw:
         raise ConfigError(f"conv_transpose2d takes square kernels only, got {k}x{kw}")
     if cin_w != cin:
         raise ShapeError(f"conv_transpose2d expects {cin_w} in-channels, got {cin}")
-    out = _phase_gemm(x.data, w.data, k, 0, 1, h * k, wdt * k)
-    out += b.data[:, None, None]
+    rows = bsz * h * wdt
+    x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
+    w_m = w.data.reshape(cin, k * k * cout)
+    out = (x_m @ w_m).reshape(bsz, h, wdt, k, k, cout).transpose(0, 1, 3, 2, 4, 5)
+    out = out.reshape(bsz, h * k, wdt * k, cout)
+    out += b.data
 
     def vjp(g):
-        rows = bsz * h * wdt
-        x_m = x.data.transpose(0, 2, 3, 1).reshape(rows, cin)
-        w_m = w.data.transpose(0, 2, 3, 1).reshape(cin, k * k * cout)
         g_m = g.transpose(0, 2, 3, 1).reshape(bsz, h, k, wdt, k, cout) \
             .transpose(0, 1, 3, 2, 4, 5).reshape(rows, k * k * cout)
         gx = (g_m @ w_m.T).reshape(bsz, h, wdt, cin).transpose(0, 3, 1, 2)
-        gw = (x_m.T @ g_m).reshape(cin, k, k, cout).transpose(0, 3, 1, 2)
+        gw = (x_m.T @ g_m).reshape(w.shape)
         return gx, gw, _ones(rows * k * k, g.dtype) @ g_m.reshape(-1, cout)
 
-    return _node(out, (x, w, b), vjp)
+    return _node(out.transpose(0, 3, 1, 2), (x, w, b), vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

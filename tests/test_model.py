@@ -216,12 +216,13 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):
-    # 001 held ESA key biases and a num_classes field
+    # 001 held ESA key biases and a num_classes field; 002 held conv weights
+    # in (Cout, Cin, k, k) and deconv weights in (Cin, Cout, k, k) order
     cfg = tiny_config()
     path = str(tmp_path / "v.ckpt")
     save_checkpoint(init_params(cfg, seed=0), cfg, path)
     blob = bytearray(Path(path).read_bytes())
-    for version in (b"001", b"999"):
+    for version in (b"001", b"002", b"999"):
         blob[5:8] = version
         Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointVersionError):

@@ -483,6 +483,42 @@ def test_gelu_no_grad_scratch_takes_one_block():
 # ---------------------------------------------------------------------------
 # convolution: loop oracle plus gradients
 
+def _stored(w, deconv=False):
+    """An OIHW conv weight, or with ``deconv`` an IOHW deconv weight, as
+    ``conv2d`` and ``conv_transpose2d`` take it: (k, k, Cin/groups, Cout) or
+    (Cin, k, k, Cout).  An array gives an array, a Tensor a Tensor."""
+    axes = (0, 2, 3, 1) if deconv else (2, 3, 1, 0)
+    if isinstance(w, Tensor):
+        return Tensor(w.data.transpose(axes), requires_grad=w.requires_grad)
+    return np.ascontiguousarray(w.transpose(axes))
+
+
+# a 3x3 conv from 320 to 512 channels (5.9 MB of f32 weight) and a 2x2
+# deconv from 512 to 320, each on a map of a few pixels
+_BIG_CONVS = {
+    "conv2d": ((1, 320, 4, 4), (3, 3, 320, 512), lambda x, w, b: T.conv2d(x, w, b, padding=1)),
+    "conv_transpose2d": ((1, 512, 2, 2), (512, 2, 2, 320), T.conv_transpose2d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIG_CONVS))
+def test_no_conv_copies_its_weight(name):
+    # the weight is stored in the order its GEMM reads it: a call allocates
+    # its windows and its output, which are small here, and no weight copy
+    x_shape, w_shape, op = _BIG_CONVS[name]
+    rng = np.random.default_rng(9)
+    x, w, b = (Tensor(rng.standard_normal(size=s, dtype=np.float32))
+               for s in (x_shape, w_shape, w_shape[-1:]))
+    tracemalloc.start()
+    try:
+        with no_grad():
+            op(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.data.nbytes / 2
+
+
 def _conv_oracle(x, w, b, stride, pad, dil, groups):
     bs, cin, h, wd = x.shape
     cout, cg, kh, kw = w.shape
@@ -522,7 +558,7 @@ def test_conv2d_matches_loop_oracle(stride, pad, dil, groups, channels):
     x = rng.normal(size=(2, channels, 6, 5))
     w = rng.normal(size=(channels, channels // groups, 3, 3))
     b = rng.normal(size=(channels,))
-    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad,
+    got = T.conv2d(Tensor(x), Tensor(_stored(w)), Tensor(b), stride=stride, padding=pad,
                    dilation=dil).data
     assert np.abs(got - _conv_oracle(x, w, b, stride, pad, dil, groups)).max() < 1e-10
 
@@ -540,9 +576,17 @@ def test_conv2d_matches_loop_oracle(stride, pad, dil, groups, channels):
 def test_conv2d_rejects_settings_the_model_never_runs(cin, cout, stride, groups, kernel,
                                                       error, match):
     # conv2d reads the kind from the weight's shape alone
-    x, w, b = _t(1, cin, 6, 6), _t(cout, cin // groups, *kernel), _t(cout)
+    x, w, b = _t(1, cin, 6, 6), _stored(_t(cout, cin // groups, *kernel)), _t(cout)
     with pytest.raises(error, match=match):
         T.conv2d(x, w, b, stride=stride, padding=1)
+
+
+# depthwise maps (dtype, B, C, H, W) whose tap products span BLOCK-sized
+# blocks: 8 maps of 16 rows, one map to a block; 8 maps of 8 rows, 7 maps to
+# a block and 1 in the last; 2 maps of 20 rows, 18 rows to a block and 2 in
+# the last
+_DEPTHWISE_MAPS = ((np.float32, 8, 16, 16, 16), (np.float32, 8, 16, 8, 8),
+                   (np.float32, 2, 16, 20, 24), (np.float64, 2, 16, 20, 24))
 
 
 @pytest.mark.parametrize("pad,dil", [(1, 1), (2, 2)])
@@ -553,38 +597,39 @@ def test_depthwise_conv2d_equals_per_tap_numpy_bitwise(pad, dil):
     # padded by dil*(k-1) - pad, with the flipped kernel; the bias gradient is
     # the GEMV of a ones vector with the upstream gradient's channel-last rows
     rng = np.random.default_rng(11)
-    bsz, c, h, w = 8, 16, 16, 16
-    x = rng.normal(size=(bsz, h, w, c)).astype(np.float32).transpose(0, 3, 1, 2)
-    wt = rng.normal(size=(c, 1, 3, 3)).astype(np.float32)
-    bias = rng.normal(size=(c,)).astype(np.float32)
-    g = rng.normal(size=(bsz, h, w, c)).astype(np.float32)   # channel-last upstream
-    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True), Tensor(bias),
-                 padding=pad, dilation=dil)
-    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    pg = dil * 2 - pad
-    gp = np.pad(g, ((0, 0), (pg, pg), (pg, pg), (0, 0)))
-    want = np.zeros((bsz, h, w, c), np.float32)
-    want_gx = np.zeros((bsz, h, w, c), np.float32)
-    gw = np.empty((c, 9), np.float32)
-    for t, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
-        tap = xp[:, i * dil:i * dil + h, j * dil:j * dil + w]
-        want += tap * wt[:, 0, i, j]
-        want_gx += gp[:, i * dil:i * dil + h, j * dil:j * dil + w] * wt[:, 0, 2 - i, 2 - j]
-        gw[:, t] = np.einsum("bhk,bhk->k", g.reshape(bsz, h, w * c),
-                             tap.reshape(bsz, h, w * c)).reshape(w, c).sum(axis=0)
-    want += bias
-    gx, gwt, gb = y._vjp(g.transpose(0, 3, 1, 2))
-    assert y.data.transpose(0, 2, 3, 1).tobytes() == want.tobytes()
-    assert gx.transpose(0, 2, 3, 1).tobytes() == want_gx.tobytes()
-    assert gwt.tobytes() == gw.reshape(c, 1, 3, 3).tobytes()
-    assert gb.tobytes() == (np.ones(bsz * h * w, np.float32) @ g.reshape(-1, c)).tobytes()
+    for dtype, bsz, c, h, w in _DEPTHWISE_MAPS:
+        assert 9 * bsz * c * h * w > T.BLOCK
+        x = rng.normal(size=(bsz, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+        wt = rng.normal(size=(c, 1, 3, 3)).astype(dtype)
+        bias = rng.normal(size=(c,)).astype(dtype)
+        g = rng.normal(size=(bsz, h, w, c)).astype(dtype)   # channel-last upstream
+        y = T.conv2d(Tensor(x, requires_grad=True), Tensor(_stored(wt), requires_grad=True),
+                     Tensor(bias), padding=pad, dilation=dil)
+        xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        pg = dil * 2 - pad
+        gp = np.pad(g, ((0, 0), (pg, pg), (pg, pg), (0, 0)))
+        want = np.zeros((bsz, h, w, c), dtype)
+        want_gx = np.zeros((bsz, h, w, c), dtype)
+        gw = np.empty((c, 9), dtype)
+        for t, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
+            tap = xp[:, i * dil:i * dil + h, j * dil:j * dil + w]
+            want += tap * wt[:, 0, i, j]
+            want_gx += gp[:, i * dil:i * dil + h, j * dil:j * dil + w] * wt[:, 0, 2 - i, 2 - j]
+            gw[:, t] = np.einsum("bhk,bhk->k", g.reshape(bsz, h, w * c),
+                                 tap.reshape(bsz, h, w * c)).reshape(w, c).sum(axis=0)
+        want += bias
+        gx, gwt, gb = y._vjp(g.transpose(0, 3, 1, 2))
+        assert y.data.transpose(0, 2, 3, 1).tobytes() == want.tobytes()
+        assert gx.transpose(0, 2, 3, 1).tobytes() == want_gx.tobytes()
+        assert gwt.tobytes() == _stored(gw.reshape(c, 1, 3, 3)).tobytes()
+        assert gb.tobytes() == (np.ones(bsz * h * w, dtype) @ g.reshape(-1, c)).tobytes()
 
 
 def test_both_conv2d_vjps_are_charged_to_conv2d():
     # a profiler names a VJP by its qualname: a depthwise backward moved into
     # a helper of its own would leave the conv2d entry without a trace
     x = _t(1, 4, 6, 6)
-    for w in (_t(4, 1, 3, 3), _t(4, 4, 3, 3)):
+    for w in (_stored(_t(4, 1, 3, 3)), _stored(_t(4, 4, 3, 3))):
         y = T.conv2d(x, Tensor(w.data, requires_grad=True), _t(4), padding=1)
         assert y._vjp.__qualname__.startswith("conv2d.")
 
@@ -615,7 +660,7 @@ def test_stride1_conv2d_input_grad_matches_loop_oracle(k, pad, dil, groups):
     rng = np.random.default_rng(k * 100 + pad * 10 + dil)
     x = rng.normal(size=(2, 4, 6, 5))
     w, b = rng.normal(size=(4, 4 // groups, k, k)), rng.normal(size=(4,))
-    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), padding=pad,
+    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(_stored(w)), Tensor(b), padding=pad,
                  dilation=dil)
     g = rng.normal(size=y.shape)
     gx = y._vjp(g)[0]
@@ -640,7 +685,7 @@ def test_strided_conv2d_input_grad_matches_loop_oracle(k, stride, pad, dil, h, w
     rng = np.random.default_rng(k * 1000 + stride * 100 + pad * 10 + dil)
     x = rng.normal(size=(2, 3, h, w))
     wt, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=(4,))
-    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(wt), Tensor(b), stride=stride,
+    y = T.conv2d(Tensor(x, requires_grad=True), Tensor(_stored(wt)), Tensor(b), stride=stride,
                  padding=pad, dilation=dil)
     g = rng.normal(size=y.shape)
     gx = y._vjp(g)[0]
@@ -653,9 +698,12 @@ def test_conv_vjps_gather_without_scatter(monkeypatch):
     # are GEMMs or tap loops of multiply-adds: none scatter-adds into taps
     real_add = np.add
 
-    class AddWithoutAt:  # np.add for every call but the scatter-add np.add.at
+    class AddWithoutAt:  # np.add for every call and method but the scatter-add np.add.at
         def __call__(self, *args, **kwargs):
             return real_add(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(real_add, name)
 
         def at(self, *args):
             raise AssertionError("a conv VJP scattered with np.add.at")
@@ -665,14 +713,17 @@ def test_conv_vjps_gather_without_scatter(monkeypatch):
     x = Tensor(RNG.normal(size=(2, 4, 7, 6)), requires_grad=True)
     for groups in (1, 4):
         for k, pad, dil in _STRIDE1_INPUT_GRAD:
-            y = T.conv2d(x, _t(4, 4 // groups, k, k), _t(4), padding=pad, dilation=dil)
+            y = T.conv2d(x, _stored(_t(4, 4 // groups, k, k)), _t(4), padding=pad,
+                         dilation=dil)
             assert y._vjp(np.ones_like(y.data))[0].shape == x.shape
     for k, stride, pad, dil, *_ in _STRIDED_INPUT_GRAD:
         if T._conv_out_extent(6, k, stride, pad, dil) > 0:
-            y = T.conv2d(x, _t(4, 4, k, k), _t(4), stride=stride, padding=pad, dilation=dil)
+            y = T.conv2d(x, _stored(_t(4, 4, k, k)), _t(4), stride=stride, padding=pad,
+                         dilation=dil)
             assert y._vjp(np.ones_like(y.data))[0].shape == x.shape
-    y = T.conv_transpose2d(x, _t(4, 3, 2, 2), _t(3))
-    assert [gp.shape for gp in y._vjp(np.ones_like(y.data))] == [x.shape, (4, 3, 2, 2), (3,)]
+    w = _stored(_t(4, 3, 2, 2), deconv=True)
+    y = T.conv_transpose2d(x, w, _t(3))
+    assert [gp.shape for gp in y._vjp(np.ones_like(y.data))] == [x.shape, w.shape, (3,)]
 
 
 def test_vjps_skip_the_gradients_of_constant_inputs(monkeypatch):
@@ -685,6 +736,7 @@ def test_vjps_skip_the_gradients_of_constant_inputs(monkeypatch):
     for kind, stride, w_shape in (("dense", 4, (4, 4, 7, 7)), ("depthwise", 1, (4, 1, 3, 3))):
         w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                 for s in (w_shape, (4,)))
+        w = _stored(w)
 
         def grads(x_needs_grad):
             xt = Tensor(x, requires_grad=x_needs_grad)
@@ -727,7 +779,7 @@ def test_conv_transpose2d_equals_inline_gemm_bitwise(kernel, dtype):
               _permute(Tensor(rng.normal(size=(2, 5, 4, 3)).astype(dtype)), (0, 3, 1, 2))):
         w = rng.normal(size=(3, 6) + kernel).astype(dtype)
         b = rng.normal(size=(6,)).astype(dtype)
-        got = T.conv_transpose2d(x, Tensor(w), Tensor(b)).data
+        got = T.conv_transpose2d(x, Tensor(_stored(w, deconv=True)), Tensor(b)).data
         want = _deconv_as_gemm(x.data, w, b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
@@ -746,7 +798,7 @@ def test_conv_transpose2d_equals_inline_gemm_bitwise(kernel, dtype):
 ])
 def test_grad_conv2d(stride, pad, dil, groups, k):
     cin = 4 if groups == 4 else 2  # groups == cin == cout: depthwise
-    x, w, b = _t(1, cin, 5, 5), _t(4, cin // groups, k, k), _t(4)
+    x, w, b = _t(1, cin, 5, 5), _stored(_t(4, cin // groups, k, k)), _t(4)
     assert grad_check(
         lambda x, w, b: T.tsum(T.tanh(T.conv2d(
             x, w, b, stride=stride, padding=pad, dilation=dil))),
@@ -755,7 +807,7 @@ def test_grad_conv2d(stride, pad, dil, groups, k):
 
 def test_conv_transpose2d_inverts_strided_downsample_shape():
     x = _t(1, 3, 4, 4)
-    w = _t(3, 5, 2, 2)
+    w = _stored(_t(3, 5, 2, 2), deconv=True)
     y = T.conv_transpose2d(x, w, Tensor(np.zeros(5)))
     assert y.shape == (1, 5, 8, 8)
 
@@ -763,11 +815,11 @@ def test_conv_transpose2d_inverts_strided_downsample_shape():
 def test_conv_transpose2d_rejects_a_non_square_kernel():
     # the model's deconvs are 2x2, and conv2d takes square kernels only too
     with pytest.raises(ConfigError, match="square"):
-        T.conv_transpose2d(_t(1, 3, 4, 4), _t(3, 2, 2, 3), _t(2))
+        T.conv_transpose2d(_t(1, 3, 4, 4), _stored(_t(3, 2, 2, 3), deconv=True), _t(2))
 
 
 def test_grad_conv_transpose2d():
-    x, w, b = _t(1, 3, 4, 4), _t(3, 2, 2, 2), _t(2)
+    x, w, b = _t(1, 3, 4, 4), _stored(_t(3, 2, 2, 2), deconv=True), _t(2)
     assert grad_check(
         lambda x, w, b: T.tsum(T.tanh(T.conv_transpose2d(x, w, b))),
         [x, w, b]) < TOL
@@ -797,11 +849,11 @@ def test_conv_transpose2d_matches_loop_oracle(bias):
     rng = np.random.default_rng(11)
     x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(3, 4, 2, 2))
     b = rng.normal(size=(4,)) if bias else np.zeros(4)
-    got = T.conv_transpose2d(Tensor(x), Tensor(w), Tensor(b)).data
+    got = T.conv_transpose2d(Tensor(x), Tensor(_stored(w, deconv=True)), Tensor(b)).data
     assert got.shape == (2, 4, 8, 10)
     assert np.abs(got - _conv_transpose_oracle(x, w, b)).max() < 1e-10
     probe = Tensor(rng.normal(size=got.shape))
-    inputs = [Tensor(x), Tensor(w), Tensor(b)]
+    inputs = [Tensor(x), Tensor(_stored(w, deconv=True)), Tensor(b)]
     assert grad_check(lambda *a: T.tsum(T.conv_transpose2d(*a) * probe), inputs) < TOL
 
 
@@ -811,9 +863,9 @@ def test_conv_transpose_adjoint_of_conv():
     x = rng.normal(size=(1, 2, 8, 8))
     w = rng.normal(size=(3, 2, 2, 2))  # conv layout (cout, cin, kh, kw)
     y = rng.normal(size=(1, 3, 4, 4))
-    cx = T.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(3)), stride=2).data
+    cx = T.conv2d(Tensor(x), Tensor(_stored(w)), Tensor(np.zeros(3)), stride=2).data
     # the same array read in deconv layout (cin, cout, kh, kw) is the adjoint
-    ty = T.conv_transpose2d(Tensor(y), Tensor(w), Tensor(np.zeros(2))).data
+    ty = T.conv_transpose2d(Tensor(y), Tensor(_stored(w, deconv=True)), Tensor(np.zeros(2))).data
     assert abs(float((cx * y).sum()) - float((x * ty).sum())) < 1e-9
 
 
@@ -854,7 +906,7 @@ def _conv_y_g(x_shape, w_shape, **kw):
         x = Tensor(_channel_last32(rng, *x_shape), requires_grad=True)
         w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                 for s in (w_shape, (w_shape[0],)))
-        y = T.conv2d(x, w, b, **kw)
+        y = T.conv2d(x, _stored(w), b, **kw)
         return y, _channel_last32(rng, *y.shape)
     return make
 
@@ -863,7 +915,7 @@ def _deconv_y_g(rng):
     x = Tensor(_channel_last32(rng, 2, 5, 4, 3), requires_grad=True)
     w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
             for s in ((5, 6, 2, 2), (6,)))
-    y = T.conv_transpose2d(x, w, b)
+    y = T.conv_transpose2d(x, _stored(w, deconv=True), b)
     return y, _channel_last32(rng, *y.shape)
 
 
@@ -1023,6 +1075,7 @@ _RNG3 = np.random.default_rng(3)
 _K3, _K1, _KDW4, _KT4, _B3, _B4 = (
     Tensor(_RNG3.normal(size=s))
     for s in ((3, 4, 3, 3), (3, 4, 1, 1), (4, 1, 3, 3), (4, 3, 2, 2), (3,), (4,)))
+_K3, _K1, _KDW4, _KT4 = _stored(_K3), _stored(_K1), _stored(_KDW4), _stored(_KT4, deconv=True)
 _Z3, _Z4 = Tensor(np.zeros(3)), Tensor(np.zeros(4))  # zero biases: the no-bias form
 
 
@@ -1138,7 +1191,8 @@ def _const(*shape, low=None):
 
 _C5, _P5, _W53, _B3 = _const(5), _const(5, low=0.5), _const(5, 3), _const(3)
 _G5, _G3 = _const(5, low=0.5), _const(1, 3, 1, 1, low=0.5)
-_K, _KDW, _KT = _const(4, 3, 3, 3), _const(3, 1, 3, 3), _const(3, 2, 2, 2)
+_K, _KDW, _KT = (_stored(_const(4, 3, 3, 3)), _stored(_const(3, 1, 3, 3)),
+                 _stored(_const(3, 2, 2, 2), deconv=True))
 
 # one-input forms of every tape op, applied to a (2, 3, 4, 5) input
 _VIEW_OPS = {
