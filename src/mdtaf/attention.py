@@ -102,6 +102,16 @@ def relative_position_index(w: int) -> np.ndarray:
     return idx
 
 
+@functools.lru_cache(maxsize=None)
+def head_index(heads: int) -> np.ndarray:
+    """(heads, 1, 1) head numbers: with :func:`relative_position_index` the
+    key of SSA's bias gather.  Built once per count and shared read-only, so
+    every call passes the same array."""
+    idx = np.arange(heads)[:, None, None]
+    idx.flags.writeable = False
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # heads
 
@@ -239,7 +249,7 @@ def spatial_self_attention(x: Tensor, h: int, w: int, cfg: AttentionConfig,
 
     # (heads, w*w, w*w): entry [g, i, j] is table[index[i, j], g]
     bias = T.getitem(params[f"{prefix}.rel_pos_bias"],
-                     (relative_position_index(win), np.arange(heads)[:, None, None]))
+                     (relative_position_index(win), head_index(heads)))
     yw = T.attention(qw, kw, vw, 1.0 / np.sqrt(cfg.head_dim), bias)
     # passed unnamed, so the windowed output is freed once it is merged
     return _interact_and_merge(window_merge(yw, win, h, w), x, h, w, params, prefix,

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import GraphError, Tensor, backward, no_grad
+from .tensor import GraphError, Tensor, backward, no_grad, reuse
 
 EPS = 1e-5  # central-difference step
 
@@ -33,6 +33,13 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     ``min_grad`` skips coordinates whose analytic gradient is below the
     resolution of central differences; near-zero pairs otherwise report a
     spurious error of fd-noise over the denominator floor.
+
+    Each finite-difference forward passes a fresh leaf holding a perturbed
+    copy of one input, and no input is written.  The forwards run under
+    :func:`tensor.reuse` after one unperturbed forward that records every op
+    call, so a call the perturbed leaf cannot reach returns its recorded
+    output.  ``fn`` must therefore be a pure function of its arguments: the
+    same arguments give the same loss, and no output of an op is written.
     """
     inputs = [t.astype(np.float64) for t in inputs]
     for t in inputs:
@@ -47,30 +54,31 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
         rng = np.random.default_rng(0)
 
     worst = 0.0
-    for t in inputs:
-        flat = t.data.reshape(-1)
-        if not np.shares_memory(flat, t.data):
-            # a copy: perturbing it would leave every finite difference 0
-            raise GraphError(f"grad_check input of shape {t.shape} is not contiguous")
-        gflat = np.zeros_like(flat) if t.grad is None else t.grad.reshape(-1)
-        coords = np.arange(flat.size)
-        if min_grad > 0.0:
-            coords = coords[np.abs(gflat) >= min_grad]
-            if coords.size == 0:
-                continue
-        if max_coords is not None and coords.size > max_coords:
-            coords = rng.choice(coords, size=max_coords, replace=False)
-        for i in coords:
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + EPS
-                f_plus = fn(*inputs).data.item()
-                flat[i] = orig - EPS
-                f_minus = fn(*inputs).data.item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * EPS)
-            worst = max(worst, relative_error(float(gflat[i]), numeric))
+    with no_grad(), reuse() as forward:
+        forward(fn, *inputs)  # the recording
+        for j, t in enumerate(inputs):
+            gflat = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
+            coords = np.arange(t.size)
+            if min_grad > 0.0:
+                coords = coords[np.abs(gflat) >= min_grad]
+                if coords.size == 0:
+                    continue
+            if max_coords is not None and coords.size > max_coords:
+                coords = rng.choice(coords, size=max_coords, replace=False)
+            for i in coords:
+                f_plus, f_minus = (
+                    forward(fn, *inputs[:j], _nudged(t.data, i, step), *inputs[j + 1:]).data.item()
+                    for step in (EPS, -EPS))
+                numeric = (f_plus - f_minus) / (2.0 * EPS)
+                worst = max(worst, relative_error(float(gflat[i]), numeric))
     return worst
+
+
+def _nudged(x: np.ndarray, i: int, step: float) -> Tensor:
+    """A leaf holding a copy of ``x`` with flat element ``i`` moved by ``step``."""
+    p = x.copy()
+    p.reshape(-1)[i] += step
+    return Tensor(p)
 
 
 def grad_check_params(loss_fn: Callable[[dict], Tensor], store, **kw) -> float:

@@ -7,7 +7,11 @@ returned, without a copy: ``rearrange``, the one layout op, and basic-key
 ``getitem`` give views of their input wherever numpy can, and elementwise ops
 keep its memory order, so token and map layouts switch at no cost.  Because
 an op output may share memory with its inputs, only leaves may be written in
-place.  Every differentiable operation records its parents and a
+place.  Inside ``reuse`` (the gradcheck's finite-difference forwards) an op
+called again on the same arguments returns the output it recorded in the
+first forward, shared by every later forward: a second reason no op output
+is written, and the forwards must be pure functions of their arguments.
+Every differentiable operation records its parents and a
 vector-Jacobian closure; ``backward`` replays the tape in reverse creation
 order, which keeps gradient accumulation deterministic.
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -71,6 +76,7 @@ LAYER_NORM_EPS = 1e-6
 
 _grad_enabled = True
 _nan_check = False
+_reuse: Optional["_Record"] = None  # the record of an open ``reuse`` block
 
 
 @contextmanager
@@ -95,6 +101,86 @@ def nan_check():
         yield
     finally:
         _nan_check = prev
+
+
+@contextmanager
+def reuse():
+    """Serve repeated forwards from the first one.
+
+    Yields ``forward``: ``forward(fn, *args)`` returns ``fn(*args)``.  The
+    first forward records every tape-op call, with its arguments and output.
+    In each later forward, the call at the same position returns the recorded
+    output when it is the same op on the same arguments, and computes
+    otherwise.  An argument is the same when it is the very object of the
+    recording (every ``Tensor`` and array), or an equal plain value: int,
+    float, bool, str, slice, None, numpy float scalar, or a tuple or list of
+    these.  So a forward that passes a fresh tensor in place of one input
+    recomputes only the calls that tensor reaches.  A served output is shared
+    by every forward, so ``fn`` must be a pure function of its arguments.
+    The record is removed when the block ends, raising or not.
+
+    Each public op that makes a tape node enters through the record: its
+    first statement tests the global ``_reuse`` and, while a block is open,
+    hands the op and all of its parameters to it.
+    """
+    global _reuse
+    prev, _reuse = _reuse, _Record()
+    try:
+        yield _reuse.forward
+    finally:
+        _reuse = prev
+
+
+class _Record:
+    """The tape-op calls of :func:`reuse`'s first forward."""
+    __slots__ = ("calls", "pos")
+
+    def __init__(self):
+        self.calls: list[tuple] = []  # (op, args, output)
+        self.pos: Optional[int] = None  # the next call's position; None while recording
+
+    def forward(self, fn: Callable, *args):
+        if self.calls:
+            self.pos = 0
+        return fn(*args)
+
+    def call(self, op: Callable, *args):
+        """``op(*args)``, or the output recorded for the call at this position."""
+        global _reuse
+        pos = self.pos
+        if pos is not None:
+            self.pos = pos + 1
+            if pos < len(self.calls):
+                rop, rargs, out = self.calls[pos]
+                if rop is op and _same(rargs, args):
+                    return out
+        _reuse = None  # the op runs its own body
+        try:
+            out = op(*args)
+        finally:
+            _reuse = self
+        if pos is None:
+            self.calls.append((op, args, out))
+        return out
+
+
+_PLAIN = frozenset((int, float, bool, str, np.float32, np.float64))
+
+
+def _same(a, b) -> bool:
+    """True when ``b`` is the same op argument as ``a`` in :func:`reuse`'s
+    sense.  Arrays compare by identity only: ``np.array([1]) == np.array([[1]])``
+    is truthy, yet the two keys select different shapes."""
+    if a is b:
+        return True
+    t = type(a)
+    if t is not type(b):
+        return False
+    if t is tuple or t is list:  # identity of every item first, in C
+        return len(a) == len(b) and (all(map(operator.is_, a, b)) or all(map(_same, a, b)))
+    if t is slice:
+        return _same((a.start, a.stop, a.step), (b.start, b.stop, b.step))
+    return t in _PLAIN and a == b
 
 
 class Tensor:
@@ -260,6 +346,8 @@ def backward(loss: Tensor):
 # elementwise ops
 
 def add(a, b) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(add, a, b)
     a = _ensure(a)
     b = _ensure(b, like=a)
     out = a.data + b.data
@@ -271,6 +359,8 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(mul, a, b)
     a = _ensure(a)
     b = _ensure(b, like=a)
     out = a.data * b.data
@@ -283,6 +373,8 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(div, a, b)
     a = _ensure(a)
     b = _ensure(b, like=a)
     out = a.data / b.data
@@ -296,11 +388,15 @@ def div(a, b) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(texp, a)
     out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
 
 
 def tanh(a: Tensor) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(tanh, a)
     out = np.tanh(a.data)
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
@@ -312,6 +408,8 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(sigmoid, a)
     out = sigmoid_array(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
@@ -328,6 +426,8 @@ def gelu(a: Tensor) -> Tensor:
     scratch under ``no_grad`` and in a full buffer on the tape, where the VJP
     reads it.  Every operation is elementwise, so blocking changes no float.
     """
+    if _reuse is not None:
+        return _reuse.call(gelu, a)
     x = a.data
     out = np.empty_like(x)
     n = x.size
@@ -365,6 +465,8 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis (max-subtraction)."""
+    if _reuse is not None:
+        return _reuse.call(softmax, a)
     out = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
@@ -386,6 +488,8 @@ def rearrange(a: Tensor, shape, axes=None, split=None) -> Tensor:
     """The one layout op: reshape to ``split``, permute by ``axes`` (each when
     given), reshape to ``shape``; a view of ``a`` wherever numpy can give one.
     The VJP runs the inverse chain back to ``a.shape``."""
+    if _reuse is not None:
+        return _reuse.call(rearrange, a, shape, axes, split)
     x = a.data if split is None else a.data.reshape(split)
     x = x if axes is None else x.transpose(axes)
     old, mid = a.shape, x.shape
@@ -408,6 +512,8 @@ def _is_basic_index(key) -> bool:
 
 
 def getitem(a: Tensor, key) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(getitem, a, key)
     out = a.data[key]
     basic = _is_basic_index(key)
 
@@ -423,6 +529,8 @@ def getitem(a: Tensor, key) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(concat, parts, axis)
     parts = [_ensure(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
@@ -437,6 +545,8 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:
     """Zero-pad a B,C,H,W map at the high ends of H and W (divisibility
     alignment); the output is a channel-last view."""
+    if _reuse is not None:
+        return _reuse.call(pad_bottom_right, a, ph, pw)
     if ph == 0 and pw == 0:
         return a
     h, w = a.shape[2:]
@@ -450,6 +560,8 @@ def pad_bottom_right(a: Tensor, ph: int, pw: int) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of every element, a 0-d output."""
+    if _reuse is not None:
+        return _reuse.call(tsum, a)
     return _node(np.asarray(a.data.sum()), (a,),
                  lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
@@ -458,6 +570,8 @@ def tsum(a: Tensor) -> Tensor:
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if _reuse is not None:
+        return _reuse.call(matmul, a, b)
     a = _ensure(a)
     b = _ensure(b)
     if a.shape[-1] != b.shape[-2]:
@@ -506,6 +620,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     VJP is ``dS = P * (dP - D)`` with ``dP = g v^T`` and ``D = rowsum(g *
     out)``, which equals ``rowsum(P * dP)``.
     """
+    if _reuse is not None:
+        return _reuse.call(attention, q, k, v, scale, bias)
     lead = q.shape[:-2]
     if (q.ndim < 2 or v.ndim != q.ndim or v.shape[:-2] != lead
             or k.shape != lead + (v.shape[-2], q.shape[-1]) or bias is not None and (
@@ -576,6 +692,8 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     The weight gradient is one 2-D GEMM over the rows of every leading axis.
     """
+    if _reuse is not None:
+        return _reuse.call(linear, x, w, b)
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear expects last dim {w.shape[0]}, got {x.shape}")
     out = np.matmul(x.data, w.data)
@@ -622,6 +740,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     rows one with a ones vector.  One tape node; the VJP is the closed form
     ``gx = rstd * (gh - mean(gh) - xn * mean(gh * xn))`` with ``gh = g * gamma``.
     """
+    if _reuse is not None:
+        return _reuse.call(layer_norm, x, gamma, beta, axis)
     gamma = _ensure(gamma, like=x)
     beta = _ensure(beta, like=x)
     ax = axis % x.ndim
@@ -773,6 +893,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0,
     function, so a profiler that names a VJP by its ``__qualname__`` charges
     both to ``conv2d``.
     """
+    if _reuse is not None:
+        return _reuse.call(conv2d, x, w, b, stride, padding, dilation)
     bsz, cin, h, wdt = x.shape
     k, kw, cin_w, cout = w.shape
     if k != kw:
@@ -833,6 +955,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     (B,H,k,W,k,Cout) buffer that keeps channels innermost (sub-pixel
     convolution, Shi et al. 2016, arXiv:1609.05158), then the bias.  The
     output and the input gradient are channel-last views."""
+    if _reuse is not None:
+        return _reuse.call(conv_transpose2d, x, w, b)
     bsz, cin, h, wdt = x.shape
     cin_w, k, kw, cout = w.shape
     if k != kw:
@@ -859,6 +983,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean per channel: B,C,H,W -> B,C,1,1, as one tape node; the
     input gradient is a channel-last view."""
+    if _reuse is not None:
+        return _reuse.call(global_avg_pool, x)
     b, c, h, w = x.shape
     scale = x.data.dtype.type(1.0 / (h * w))
     out = x.data.sum(axis=(2, 3), keepdims=True)
@@ -892,6 +1018,8 @@ def bilinear_resize(x: Tensor, h2: int, w2: int) -> Tensor:
     """Differentiable bilinear resize of a B,C,H,W map to B,C,h2,w2, H then W,
     over channel-last rows; the output and the input gradient are
     channel-last views."""
+    if _reuse is not None:
+        return _reuse.call(bilinear_resize, x, h2, w2)
     if x.ndim != 4:
         raise ShapeError(f"bilinear_resize expects a B,C,H,W map, got shape {x.shape}")
     b, c, h, w = x.shape

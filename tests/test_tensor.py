@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdtaf import gradcheck
 from mdtaf import tensor as T
 from mdtaf.attention import _merge_heads, _split_heads, window_merge, window_partition
 from mdtaf.gradcheck import grad_check, relative_error
@@ -1171,13 +1172,23 @@ def test_leaf_from_a_transposed_array_is_contiguous():
     assert grad_check(lambda x: T.tsum(T.tanh(x) * probe), [x]) < TOL
 
 
-def test_grad_check_rejects_an_input_it_cannot_perturb(monkeypatch):
-    # a non-contiguous input would be perturbed through a copy: every
-    # finite difference 0, and no error without the check
-    monkeypatch.setattr(Tensor, "astype", lambda t, dtype: _permute(
-        Tensor(t.data, requires_grad=True), (1, 0)))
-    with pytest.raises(GraphError, match="not contiguous"):
-        grad_check(lambda x: T.tsum(x * x), [Tensor(np.ones((3, 4)))])
+def test_grad_check_perturbs_a_copy_of_a_non_contiguous_input(monkeypatch):
+    # the input is a leaf holding a transposed view (its permute is not
+    # recorded, as its source needs no gradient); each finite difference
+    # perturbs a copy of it, so it reads the true derivative, not 0
+    monkeypatch.setattr(Tensor, "astype", lambda t, dtype: _permute(Tensor(t.data), (1, 0)))
+    numeric = []
+    monkeypatch.setattr(gradcheck, "relative_error",
+                        lambda a, n: numeric.append(n) or relative_error(a, n))
+    layouts = []
+
+    def fn(x):
+        layouts.append(x.data.flags.c_contiguous)
+        return T.tsum(x * x)
+
+    assert grad_check(fn, [Tensor(np.ones((3, 4)))]) < TOL
+    assert layouts[0] is False
+    assert len(numeric) == 12 and min(numeric) > 1.9
 
 
 _VIEW_RNG = np.random.default_rng(21)
