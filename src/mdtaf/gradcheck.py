@@ -35,9 +35,9 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     spurious error of fd-noise over the denominator floor.
 
     Each finite-difference forward passes a fresh leaf holding a perturbed
-    copy of one input, and no input is written.  The forwards run under
-    :func:`tensor.reuse` after one unperturbed forward that records every op
-    call, so a call the perturbed leaf cannot reach returns its recorded
+    copy of one input, and no input is written.  The forward differentiated
+    is also the :func:`tensor.reuse` record of every op call, so in a later
+    forward a call the perturbed leaf cannot reach returns its recorded
     output.  ``fn`` must therefore be a pure function of its arguments: the
     same arguments give the same loss, and no output of an op is written.
     """
@@ -45,32 +45,31 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     for t in inputs:
         t.requires_grad = True
 
-    out = fn(*inputs)
-    if out.size != 1:
-        raise GraphError(f"grad_check requires a scalar-valued fn, got {out.shape}")
-    backward(out)
-
     if rng is None:
         rng = np.random.default_rng(0)
 
     worst = 0.0
-    with no_grad(), reuse() as forward:
-        forward(fn, *inputs)  # the recording
-        for j, t in enumerate(inputs):
-            gflat = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
-            coords = np.arange(t.size)
-            if min_grad > 0.0:
-                coords = coords[np.abs(gflat) >= min_grad]
-                if coords.size == 0:
-                    continue
-            if max_coords is not None and coords.size > max_coords:
-                coords = rng.choice(coords, size=max_coords, replace=False)
-            for i in coords:
-                f_plus, f_minus = (
-                    forward(fn, *inputs[:j], _nudged(t.data, i, step), *inputs[j + 1:]).data.item()
-                    for step in (EPS, -EPS))
-                numeric = (f_plus - f_minus) / (2.0 * EPS)
-                worst = max(worst, relative_error(float(gflat[i]), numeric))
+    with reuse() as forward:
+        out = forward(fn, *inputs)
+        if out.size != 1:
+            raise GraphError(f"grad_check requires a scalar-valued fn, got {out.shape}")
+        backward(out)
+        with no_grad():
+            for j, t in enumerate(inputs):
+                gflat = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
+                coords = np.arange(t.size)
+                if min_grad > 0.0:
+                    coords = coords[np.abs(gflat) >= min_grad]
+                    if coords.size == 0:
+                        continue
+                if max_coords is not None and coords.size > max_coords:
+                    coords = rng.choice(coords, size=max_coords, replace=False)
+                for i in coords:
+                    f_plus, f_minus = (forward(fn, *inputs[:j], _nudged(t.data, i, step),
+                                               *inputs[j + 1:]).data.item()
+                                       for step in (EPS, -EPS))
+                    numeric = (f_plus - f_minus) / (2.0 * EPS)
+                    worst = max(worst, relative_error(float(gflat[i]), numeric))
     return worst
 
 

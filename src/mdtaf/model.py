@@ -10,10 +10,12 @@ input size.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +75,7 @@ class ModelConfig:
         if bad:
             what = "lacks" if bad[0] in fields else "has unknown"
             raise CheckpointCorruptError(f"checkpoint config {what} key {bad[0]!r}")
-        tup = {"stage_channels", "stage_depths", "heads", "esa_reduction", "window"}
+        tup = {k for k, t in typing.get_type_hints(ModelConfig).items() if t is tuple}
         for k in sorted(tup):
             if not isinstance(d[k], (list, tuple)):
                 raise CheckpointCorruptError(f"checkpoint config key {k!r} is not a list")
@@ -226,9 +228,17 @@ def pad_to_multiple(image: Tensor, multiple: int) -> Tensor:
     ph, pw = (-h) % multiple, (-w) % multiple
     if ph == 0 and pw == 0:
         return image
-    rows = np.pad(np.arange(h), (0, ph), mode="reflect")
+    return T.getitem(image, _reflect_key(h, w, ph, pw))
+
+
+@functools.lru_cache(maxsize=None)
+def _reflect_key(h: int, w: int, ph: int, pw: int) -> tuple:
+    """:func:`pad_to_multiple`'s gather key, built once per size and shared
+    read-only, so a repeated forward passes the same key (``tensor.reuse``)."""
+    rows = np.pad(np.arange(h), (0, ph), mode="reflect")[:, None]
     cols = np.pad(np.arange(w), (0, pw), mode="reflect")
-    return T.getitem(image, (slice(None), slice(None), rows[:, None], cols))
+    rows.flags.writeable = cols.flags.writeable = False
+    return (slice(None), slice(None), rows, cols)
 
 
 def model_forward(image: Tensor, cfg: ModelConfig, params: ParamStore) -> Tensor:

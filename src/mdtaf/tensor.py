@@ -108,7 +108,9 @@ def reuse():
     """Serve repeated forwards from the first one.
 
     Yields ``forward``: ``forward(fn, *args)`` returns ``fn(*args)``.  The
-    first forward records every tape-op call, with its arguments and output.
+    first forward records every tape-op call, with its arguments and output;
+    it may run on the tape, since an op computes the same floats with or
+    without it, so the forward a gradcheck differentiates is its record.
     In each later forward, the call at the same position returns the recorded
     output when it is the same op on the same arguments, and computes
     otherwise.  An argument is the same when it is the very object of the

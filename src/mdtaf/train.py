@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import tensor as T
 from .attention import ALPHA_MIN
 from .data import DataError
 from .model import ModelConfig, init_params, model_forward, save_checkpoint
@@ -28,8 +27,6 @@ class TrainingDiverged(RuntimeError):
 
 def bce_loss(logits: Tensor, targets: Tensor) -> Tensor:
     """Mean per-pixel sigmoid binary cross-entropy, log-sum-exp stable form."""
-    if T._reuse is not None:
-        return T._reuse.call(bce_loss, logits, targets)
     if logits.shape != targets.shape:
         raise ShapeError(f"bce_loss shapes differ: {logits.shape} vs {targets.shape}")
     y = targets.data

@@ -213,23 +213,46 @@ def check_esa_oracle():
     return err < 1e-6, f"rel err {err:.2e}"
 
 
-def check_ssa_oracle():
-    # single window covering the whole 4x4 map, zero position bias, with the
-    # fusion path disabled by saturating the channel gate and zeroing the rest
-    h = w = 4
-    c, heads = 8, 2
-    cfg = AttentionConfig(channels=c, heads=heads, reduction=1, window=4, r1=4, r2=4)
+def isolated_ssa_store(cfg: AttentionConfig) -> ParamStore:
+    """SSA parameters that pass only the windowed attention: identity merges,
+    the channel gate saturated open (bias +40) on the attention map and the
+    spatial gate shut (bias -40) on the local branch."""
     store = ParamStore()
     init_ssa(store, Initializer(0), "ssa", cfg)
+    c = cfg.channels
     store["ssa.merge.weight"].data[:] = np.eye(c)
     store["ssa.merge_out.weight"].data[:] = np.eye(c)
-    # gate_c saturated open (bias +40) -> Y_Sp passes; local branch gated shut
     store["ssa.gate_c.ch1.weight"].data[:] = 0
     store["ssa.gate_c.ch2.weight"].data[:] = 0
     store["ssa.gate_c.ch2.bias"].data[:] = 40.0
     store["ssa.gate_s.sp1.weight"].data[:] = 0
     store["ssa.gate_s.sp2.weight"].data[:] = 0
     store["ssa.gate_s.sp2.bias"].data[:] = -40.0
+    return store
+
+
+def isolated_csa_store(cfg: AttentionConfig) -> ParamStore:
+    """CSA parameters that pass only the channel attention: identity output
+    merge, the spatial gate saturated open (bias +40) on the attention map and
+    the channel gate shut (bias -40) on the local branch."""
+    store = ParamStore()
+    init_csa(store, Initializer(0), "csa", cfg)
+    store["csa.merge_out.weight"].data[:] = np.eye(cfg.channels)
+    store["csa.gate_s.sp1.weight"].data[:] = 0
+    store["csa.gate_s.sp2.weight"].data[:] = 0
+    store["csa.gate_s.sp2.bias"].data[:] = 40.0
+    store["csa.gate_c.ch1.weight"].data[:] = 0
+    store["csa.gate_c.ch2.weight"].data[:] = 0
+    store["csa.gate_c.ch2.bias"].data[:] = -40.0
+    return store
+
+
+def check_ssa_oracle():
+    # single window covering the whole 4x4 map, zero position bias
+    h = w = 4
+    c, heads = 8, 2
+    cfg = AttentionConfig(channels=c, heads=heads, reduction=1, window=4, r1=4, r2=4)
+    store = isolated_ssa_store(cfg)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(1, h * w, c)).astype(np.float32))
     with no_grad():
@@ -248,22 +271,11 @@ def check_ssa_oracle():
 def check_csa_oracle():
     n, c, heads = 8, 4, 1
     cfg = AttentionConfig(channels=c, heads=heads, reduction=1, window=2, r1=4, r2=4)
-    store = ParamStore()
-    init_csa(store, Initializer(0), "csa", cfg)
+    store = isolated_csa_store(cfg)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(1, n, c)).astype(np.float32))
-
-    # isolate the attention path: identity output merge, open spatial gate,
-    # closed channel gate on the local branch
-    store["csa.merge_out.weight"].data[:] = np.eye(c)
-    store["csa.gate_s.sp1.weight"].data[:] = 0
-    store["csa.gate_s.sp2.weight"].data[:] = 0
-    store["csa.gate_s.sp2.bias"].data[:] = 40.0
-    store["csa.gate_c.ch1.weight"].data[:] = 0
-    store["csa.gate_c.ch2.weight"].data[:] = 0
-    store["csa.gate_c.ch2.bias"].data[:] = -40.0
     with no_grad():
-        y = channel_self_attention(x, 2, 4, cfg, store, "csa").data[0]
+        y = channel_self_attention(x, 2, 4, cfg, store, "csa").data
     ref = channel_attention_oracle(
         x.data[0].astype(np.float64),
         store["csa.wq.weight"].data.astype(np.float64),
@@ -271,15 +283,13 @@ def check_csa_oracle():
         store["csa.wv.weight"].data.astype(np.float64),
         store["csa.merge.weight"].data.astype(np.float64),
         store["csa.alpha"].data.astype(np.float64), heads) + x.data[0]
-    err = np.abs(y - ref).max() / max(1.0, np.abs(ref).max())
+    err = np.abs(y[0] - ref).max() / max(1.0, np.abs(ref).max())
 
     # exact spatial permutation equivariance of the full CSA output
     perm = rng.permutation(n)
     with no_grad():
-        y_full = channel_self_attention(x, 2, 4, cfg, store, "csa").data
-        xp = Tensor(x.data[:, perm])
-        y_perm = channel_self_attention(xp, 2, 4, cfg, store, "csa").data
-    equiv = np.array_equal(y_full[:, perm], y_perm)
+        y_perm = channel_self_attention(Tensor(x.data[:, perm]), 2, 4, cfg, store, "csa").data
+    equiv = np.array_equal(y[:, perm], y_perm)
     return err < 1e-6 and equiv, f"rel err {err:.2e}, permutation exact: {equiv}"
 
 
